@@ -1,0 +1,93 @@
+"""Golden report digests: every benchmark-scope command must keep writing
+byte-identical reports.
+
+The commands and sha256 digests are those listed under "Report digests" in
+perfbench/README.md. A digest that moves means a verdict, an entry count or a
+serialized value changed. Every verify command also runs with one and with
+two workers, and both runs must give the same bytes.
+"""
+
+import hashlib
+
+import pytest
+
+from laumonk.cli import main
+
+VERIFY = {
+    "loop-symbolic": (
+        ["verify", "--suite", "loop", "-n", "3", "-D", "3", "-R", "1",
+         "--strategy", "symbolic"],
+        "40c2e4e82eb25157c1b3a0280d6f44e5038e61a764a703bc9e17f3a74e1023ee"),
+    "loop-random": (
+        ["verify", "--suite", "loop", "-n", "3", "-D", "3", "-R", "1",
+         "--strategy", "random", "--seed", "7", "--trials", "5"],
+        "d9a35292e23cf2435c09c2ef2d4ed012f44522ac0a620877617ac0e1b23d41c6"),
+    "toroidal": (
+        ["verify", "--suite", "toroidal", "-n", "3", "-D", "1", "-R", "1"],
+        "5a3e610a4ef610658931e87cb91ddab8ae1de53d8febec8d77c8dc5b14408818"),
+    "controls": (
+        ["verify", "--suite", "controls", "-n", "3", "-D", "1"],
+        "c0c26a720f378a672c4eef21a3232db25bf93ec4f65f71de71d5cf9fe4057c69"),
+    "oracle": (
+        ["verify", "--suite", "oracle", "-n", "3", "-D", "2"],
+        "b24232f34cb1de8af6cf16b7cb91af92cefc89d3349df59939c6c3afdf282b7f"),
+}
+
+OTHER = {
+    "sources-0": (
+        ["patterns", "--affine", "-n", "3", "--total", "0"],
+        "ec4187e7c72526980e0a9eeb6df82ab58bf8edf1f2f5005605908b7e8e6213fe"),
+    "sources-1": (
+        ["patterns", "--affine", "-n", "3", "--total", "1"],
+        "af45af6dea510b6710371f17617d8e29bb85fe1b0a64cc897e2aa68208263072"),
+    "sources-2": (
+        ["patterns", "--affine", "-n", "3", "--total", "2"],
+        "046242cf21fe38b6d7eb51962dada367be5923e74c13bdba08debf0247c185d0"),
+    "specialize-K1-000": (
+        ["specialize", "-n", "3", "-K", "1", "--mu", "0,0,0",
+         "--max-degree", "3"],
+        "02cc5f6a561577ec8e2aea6015f881c18d0fd13325b000eeca4dc2ac303f994f"),
+    "specialize-K1-100": (
+        ["specialize", "-n", "3", "-K", "1", "--mu", "1,0,0",
+         "--max-degree", "3"],
+        "e2fce7291e30fdd226f2d2e8e4b10ad809c736d5396ef2adcb51945e1321f77b"),
+    "specialize-K1-110": (
+        ["specialize", "-n", "3", "-K", "1", "--mu", "1,1,0",
+         "--max-degree", "3"],
+        "2d2c6f329eb0114d4ccaffa8264fd49a8b10501194ed6c60643eeadb81031476"),
+    "specialize-K2-000": (
+        ["specialize", "-n", "3", "-K", "2", "--mu", "0,0,0",
+         "--max-degree", "3"],
+        "4fb7046092886229bb4d7b450a8815f454ad2bc771e9c00a5db2bd8f056e31e2"),
+    "specialize-K2-100": (
+        ["specialize", "-n", "3", "-K", "2", "--mu", "1,0,0",
+         "--max-degree", "3"],
+        "7bd6080af4bff0c1ca50719474ed0481d39d6d39b1c246862b6e9aef6e20d757"),
+    "specialize-K2-110": (
+        ["specialize", "-n", "3", "-K", "2", "--mu", "1,1,0",
+         "--max-degree", "3"],
+        "bf4715dc2ceaefa4c76695683f726a21fd345acbaf078a941d1fa1ca451e4747"),
+    "specialize-wrong-u": (
+        ["specialize", "-n", "3", "-K", "1", "--mu", "0,0,0",
+         "--max-degree", "3", "--wrong-u"],
+        "2b1931cb504ad80f67ed628971161412bd3fd8070c3e2bff00df5bfcf577ba35"),
+}
+
+
+def _digest(argv, path):
+    main(argv + ["--out", str(path)])
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(VERIFY))
+def test_verify_digest_with_one_and_two_workers(name, tmp_path):
+    argv, digest = VERIFY[name]
+    for workers in ("1", "2"):
+        path = tmp_path / ("%s-w%s.json" % (name, workers))
+        assert _digest(argv + ["--workers", workers], path) == digest, workers
+
+
+@pytest.mark.parametrize("name", sorted(OTHER))
+def test_report_digest(name, tmp_path):
+    argv, digest = OTHER[name]
+    assert _digest(argv, tmp_path / (name + ".json")) == digest
