@@ -25,7 +25,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 from . import relations as rel
 from .finite_action import FiniteAction
-from .patterns import enumerate_affine, enumerate_affine_total, \
+from .patterns import ceil_div, enumerate_affine, enumerate_affine_total, \
     enumerate_finite
 from .specialization import LevelWeight, WeightError, closure_report
 from .tangent import TangentOracle
@@ -179,7 +179,7 @@ def cmd_verify(args) -> int:
             k: sorted(v) for k, v in ratios.items()}
     if args.suite == "controls":
         payload["all_pass"] = all(
-            (not r.passed) and r.counterexample for r in reports)
+            r.status == "fail" and r.counterexample for r in reports)
         payload["note"] = "negative controls: pass means every mutation failed"
     _write_report(args.out, payload)
     for r in reports:
@@ -222,7 +222,7 @@ def cmd_op_matrix(args) -> int:
                     "source": p.to_json(),
                     "target": tr.target.to_json(),
                     "column": tr.column,
-                    "u_exponent": 2 * (-((-tr.column) // args.n)),
+                    "u_exponent": 2 * ceil_div(tr.column, args.n),
                     "node_residue": (args.node - 1) % args.n + 1,
                     "value": tr.coeff(args.mode).to_string(),
                 })

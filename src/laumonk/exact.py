@@ -1,47 +1,44 @@
 """Exact arithmetic substrate: multivariate Laurent rational functions.
 
 Everything downstream computes in the field Q(t_1..t_n, u, v, z) with
-arbitrary-precision rational coefficients.  The heavy lifting is done by
-sympy's sparse polynomial rings (gmpy2-backed when available); this module
-pins a canonical representation on top of them:
+arbitrary-precision rational coefficients, one `LaurentContext` per rank n
+with the variables ordered (t_1..t_n, u, v, z).  Values come in two types:
 
-* one `LaurentContext` per rank n, variables ordered (t_1..t_n, u, v, z)
-  under graded-lexicographic term order;
-* every value is a reduced numerator/denominator pair, denominator
-  sign-normalized, so equality of values is equality of representations;
-* Laurent monomials with negative exponents are ordinary field elements
-  (t^-2 is 1/t^2).
+* `FactoredExpr`, the working type.  Every closed form in the theory is a
+  monomial times powers of (1 - monomial) factors, so a value is kept as a
+  lazy sum of terms, each a rational coefficient times a Laurent monomial
+  times a product of powers of polynomial factors.  A factor is normalized
+  by dividing out its leading monomial and coefficient (so 1 - m and
+  1 - m^{-1} are one factor), and factors are identified by syntax.  A
+  product adds exponents and a sum concatenates terms; no gcd ever runs,
+  so values are NOT reduced and equal values may be written differently.
+  `is_zero` brings the terms over a common denominator (the largest
+  denominator exponent per factor), adds the numerators and tests the sum;
+  the denominator need not be least, only nonzero, so the test is exact.
+  `evaluate` works at exact rational points from per-point caches.
+* `LaurentExpr`, the canonical form: a reduced numerator/denominator pair
+  of sympy sparse polynomials under graded-lexicographic order, denominator
+  sign-normalized, so equality of values is equality of representations.
+  `FactoredExpr.reduce()` produces it where reduced text is emitted; its
+  `to_string` is the serialization, and Laurent series expansion in z works
+  on it.  Its reductions go through `_cancel`, which falls back to the
+  modular gcd where sympy's heuristic gcd gives up.
 
-No floating point anywhere.
+Laurent monomials with negative exponents are ordinary field elements
+(t^-2 is 1/t^2).  No floating point anywhere.
 """
 
 from __future__ import annotations
 
+import threading
 from fractions import Fraction
+from math import gcd, lcm
 
-from sympy.polys.domains import QQ
+from sympy.polys import modulargcd as _modgcd
+from sympy.polys.domains import QQ, ZZ
 from sympy.polys.fields import field as _sympy_field
 from sympy.polys.orderings import grlex
-
-# sympy's integer gcd path raises HeuristicGCDFailed on rare unlucky inputs
-# instead of falling back; route those to the deterministic modular gcd.
-from sympy.polys import modulargcd as _modgcd
-from sympy.polys.polyerrors import HeuristicGCDFailed as _HeuFailed
-from sympy.polys.rings import PolyElement as _PolyElement
-
-_plain_gcd_ZZ = _PolyElement._gcd_ZZ
-
-
-def _gcd_ZZ_with_fallback(f, g):
-    try:
-        return _plain_gcd_ZZ(f, g)
-    except _HeuFailed:
-        if f.ring.ngens == 1:
-            return _modgcd.modgcd_univariate(f, g)
-        return _modgcd.modgcd_multivariate(f, g)
-
-
-_PolyElement._gcd_ZZ = _gcd_ZZ_with_fallback
+from sympy.polys.polyerrors import HeuristicGCDFailed
 
 
 class ExactError(Exception):
@@ -63,6 +60,16 @@ class EvaluationError(ExactError):
 AT_INFINITY = "at_infinity"
 AT_ZERO = "at_zero"
 
+# A Laurent monomial is packed into one int, sum_i e_i * 2^(32 i) over the
+# variable index i, with z most significant.  The balanced base-2^32 digits
+# decode uniquely while every |e_i| < 2^31; multiplying monomials adds the
+# ints, and comparing the ints is a lex order compatible with products.
+_BITS = 32
+_BASE = 1 << _BITS
+_HALF = _BASE >> 1
+_MASK = _BASE - 1
+_MAX_POWER_EXP = 1 << 20  # bound on exponents made by ** (headroom for products)
+
 
 def _to_ground(x):
     if isinstance(x, (int, Fraction)):
@@ -74,8 +81,88 @@ def _ground_to_fraction(x):
     return Fraction(int(QQ.numer(x)), int(QQ.denom(x)))
 
 
+def _q(x):
+    """A rational as an int when it is integral (cheaper arithmetic)."""
+    if type(x) is Fraction and x.denominator == 1:
+        return x.numerator
+    return x
+
+
+def _qdiv(a, b):
+    if type(a) is int and type(b) is int and a % b == 0:
+        return a // b
+    return _q(Fraction(a) / b)
+
+
+def _qpow(c, e):
+    return c ** e if e >= 0 else _q(Fraction(1) / c ** -e)
+
+
+def _unpack(key, nvars):
+    out = []
+    for _ in range(nvars):
+        r = key & _MASK
+        if r >= _HALF:
+            r -= _BASE
+        out.append(r)
+        key = (key - r) >> _BITS
+    return out
+
+
+def _pack(exps):
+    key = 0
+    for i, e in enumerate(exps):
+        if e:
+            key += e << (_BITS * i)
+    return key
+
+
+def _cancel(num, den):
+    """Reduced (numerator, denominator) of num/den.
+
+    This is sympy's `PolyElement.cancel`; where its heuristic gcd gives up
+    (HeuristicGCDFailed on rare inputs) the same steps run with the
+    deterministic modular gcd.
+    """
+    try:
+        return num.cancel(den)
+    except HeuristicGCDFailed:
+        return _cancel_modular(num, den)
+
+
+def _cancel_modular(f, g):
+    """`PolyElement.cancel` over QQ with the modular gcd for the cofactors."""
+    ring = f.ring
+    if not f:
+        return f, ring.one
+    zz = ring.clone(domain=ZZ)
+    cq, f = f.clear_denoms()
+    cp, g = g.clear_denoms()
+    f, g = f.set_ring(zz), g.set_ring(zz)
+    if len(f) == 1 or len(g) == 1:
+        _, p, q = f.cofactors(g)
+    else:
+        inner = (_modgcd.modgcd_univariate if zz.ngens == 1
+                 else _modgcd.modgcd_multivariate)
+        shape, (f, g) = f.deflate(g)
+        _, p, q = inner(f, g)
+        p, q = p.inflate(shape), q.inflate(shape)
+    _, cp, cq = ZZ.cofactors(cp, cq)
+    p = p.set_ring(ring).mul_ground(cp)
+    q = q.set_ring(ring).mul_ground(cq)
+    if q.LC < 0:
+        p, q = -p, -q
+    return p, q
+
+
 class LaurentContext:
-    """Field Q(t_1..t_n, u, v, z) for a fixed rank n, plus factories."""
+    """Field Q(t_1..t_n, u, v, z) for a fixed rank n, plus factories.
+
+    The generators t, u, v, z and the constants are `FactoredExpr` values.
+    The context also owns the table of normalized factors (interned by
+    syntax) and their cached powers and sympy forms; these grow with the
+    distinct factors a computation meets and live as long as the context.
+    """
 
     _cache: dict = {}
 
@@ -88,51 +175,550 @@ class LaurentContext:
         names = ["t%d" % i for i in range(1, n + 1)] + ["u", "v", "z"]
         self.n = n
         self.var_names = tuple(names)
+        self.nvars = len(names)
         self.field, *gens = _sympy_field(" ".join(names), QQ, grlex)
         self.ring = self.field.ring
-        self._gens = tuple(gens)
-        self.t = tuple(LaurentExpr(self, g) for g in gens[:n])
-        self.u = LaurentExpr(self, gens[n])
-        self.v = LaurentExpr(self, gens[n + 1])
-        self.z = LaurentExpr(self, gens[n + 2])
-        self.zero = LaurentExpr(self, self.field.zero)
-        self.one = LaurentExpr(self, self.field.one)
         self._z_index = n + 2
+        self._factor_lock = threading.Lock()
+        self._factor_ids = {}
+        self._factor_polys = []
+        self._factor_pows = {}
+        self._factor_sympy = {}
+        var = [FactoredExpr(self, ((1, 1 << (_BITS * i), ()),))
+               for i in range(len(names))]
+        self.t = tuple(var[:n])
+        self.u, self.v, self.z = var[n:]
+        self.zero = FactoredExpr(self, ())
+        self.one = FactoredExpr(self, ((1, 0, ()),))
         cls._cache[n] = self
         return self
 
-    def rational(self, q) -> "LaurentExpr":
-        return LaurentExpr(self, self.field.ground_new(_to_ground(Fraction(q))))
+    def rational(self, q) -> "FactoredExpr":
+        q = _q(Fraction(q))
+        return FactoredExpr(self, ((q, 0, ()),) if q else ())
 
-    def t_res(self, j: int) -> "LaurentExpr":
+    def t_res(self, j: int) -> "FactoredExpr":
         """t_{(j mod n)} with residues taken in {1..n}."""
         return self.t[(j - 1) % self.n]
 
-    def monomial(self, texp=(), uexp=0, vexp=0, zexp=0, coeff=1) -> "LaurentExpr":
-        m = self.rational(coeff)
-        for i, e in enumerate(texp):
-            if e:
-                m = m * self.t[i] ** e
-        if uexp:
-            m = m * self.u ** uexp
-        if vexp:
-            m = m * self.v ** vexp
-        if zexp:
-            m = m * self.z ** zexp
-        return m
+    def monomial(self, texp=(), uexp=0, vexp=0, zexp=0, coeff=1) -> "FactoredExpr":
+        exps = list(texp) + [0] * (self.n - len(texp)) + [uexp, vexp, zexp]
+        return self.rational(coeff) * FactoredExpr(self, ((1, _pack(exps), ()),))
 
-    def wrap(self, raw) -> "LaurentExpr":
-        return LaurentExpr(self, raw)
+    def _frac(self, num, den):
+        """Reduced field element num/den of two ring polynomials."""
+        return self.field.raw_new(*_cancel(num, den))
+
+    def _ground(self, q):
+        return self._frac(self.ring.ground_new(_to_ground(Fraction(q))), self.ring.one)
+
+    # -- the factor table ---------------------------------------------------
+
+    def _factor_id(self, key) -> int:
+        fid = self._factor_ids.get(key)
+        if fid is None:
+            with self._factor_lock:
+                fid = self._factor_ids.get(key)
+                if fid is None:
+                    # publish the id only once its polynomial is stored
+                    self._factor_polys.append(dict(key))
+                    fid = self._factor_ids[key] = len(self._factor_polys) - 1
+        return fid
+
+    def _factor_pow(self, fid: int, e: int) -> dict:
+        if e == 1:
+            return self._factor_polys[fid]
+        hit = self._factor_pows.get((fid, e))
+        if hit is None:
+            hit = _pclean(_pmul(self._factor_pow(fid, e - 1),
+                                self._factor_polys[fid]))
+            self._factor_pows[(fid, e)] = hit
+        return hit
+
+    def _factor_ring(self, fid: int):
+        """(shift, P) with factor = x^shift * P and P a sympy polynomial."""
+        hit = self._factor_sympy.get(fid)
+        if hit is None:
+            poly = self._factor_polys[fid]
+            exps = {k: _unpack(k, self.nvars) for k in poly}
+            shift = [min(col) for col in zip(*exps.values())]
+            P = self.ring.from_dict({
+                tuple(x - s for x, s in zip(ex, shift)): QQ(poly[k])
+                for k, ex in exps.items()})
+            hit = self._factor_sympy[fid] = (shift, P)
+        return hit
+
+    def _poly_term(self, poly: dict):
+        """(coeff, mono, factors) of a nonzero polynomial {packed: rational}."""
+        scale = 1
+        for c in poly.values():
+            if type(c) is Fraction:
+                scale = lcm(scale, c.denominator)
+        poly = {k: int(c * scale) for k, c in poly.items()}
+        unit, lead, key = _normalize(poly)
+        fac = ((self._factor_id(key), 1),) if len(key) > 1 else ()
+        return _qdiv(unit, scale), lead, fac
 
     def __repr__(self):
         return "LaurentContext(n=%d)" % self.n
+
+
+# -- sparse Laurent polynomials {packed monomial: int} ----------------------
+
+
+def _pmul(a: dict, b: dict) -> dict:
+    if len(a) > len(b):
+        a, b = b, a
+    items = list(b.items())
+    out = {}
+    get = out.get
+    for ea, ca in a.items():
+        for eb, cb in items:
+            e = ea + eb
+            out[e] = get(e, 0) + ca * cb
+    return out
+
+
+def _pclean(poly: dict) -> dict:
+    return {e: c for e, c in poly.items() if c}
+
+
+def _normalize(poly: dict):
+    """poly = unit * x^lead * Q, with Q's leading term 1 and content 1.
+
+    Returns (unit, lead, key) where key is Q as a sorted item tuple.
+    """
+    lead = max(poly)
+    unit = gcd(*poly.values())
+    if poly[lead] < 0:
+        unit = -unit
+    key = tuple(sorted((e - lead, c // unit) for e, c in poly.items()))
+    return unit, lead, key
+
+
+def _merge(fa, fb, sign=1):
+    """Factor exponents of a product (sign=1) or quotient (sign=-1)."""
+    if not fb:
+        return fa
+    if not fa and sign == 1:
+        return fb
+    acc = dict(fa)
+    for f, e in fb:
+        e = acc.get(f, 0) + sign * e
+        if e:
+            acc[f] = e
+        else:
+            del acc[f]
+    return tuple(sorted(acc.items()))
+
+
+def _merge_like(terms):
+    """Terms with equal monomial and factors added; zero terms dropped."""
+    merged = {}
+    for c, m, fac in terms:
+        key = (m, fac)
+        merged[key] = merged.get(key, 0) + c
+    return [(c, m, fac) for (m, fac), c in merged.items() if c]
+
+
+def _numerator(ctx, terms):
+    """The terms over their syntactic common denominator.
+
+    Returns (scale, common, poly) with
+        sum(terms) = poly / scale * prod_f Q_f^common_f,
+    common_f the smallest exponent of factor f over the terms (0 where a
+    term lacks f) and poly an integer polynomial.  No gcd runs: the common
+    denominator need not be least, only a nonzero product of factors.
+    """
+    count, low = {}, {}
+    scale = 1
+    for c, _, fac in terms:
+        if type(c) is Fraction:
+            scale = lcm(scale, c.denominator)
+        for f, e in fac:
+            count[f] = count.get(f, 0) + 1
+            if f not in low or e < low[f]:
+                low[f] = e
+    nterms = len(terms)
+    common = sorted((f, e if count[f] == nterms else min(e, 0))
+                    for f, e in low.items())
+    groups = {}
+    for c, m, fac in terms:
+        have = dict(fac)
+        rest = tuple((f, have.get(f, 0) - g) for f, g in common
+                     if have.get(f, 0) != g)
+        group = groups.setdefault(rest, {})
+        group[m] = group.get(m, 0) + int(c * scale)
+    poly = {}
+    for rest, part in groups.items():
+        for f, e in rest:
+            part = _pmul(part, ctx._factor_pow(f, e))
+        for e, c in part.items():
+            poly[e] = poly.get(e, 0) + c
+    common = tuple((f, g) for f, g in common if g)
+    return scale, common, _pclean(poly)
+
+
+def _collapse(ctx, terms):
+    """A sum of terms as one term (coeff, mono, factors), or None if zero."""
+    terms = _merge_like(terms)
+    if not terms:
+        return None
+    if len(terms) == 1:
+        return terms[0]
+    scale, common, poly = _numerator(ctx, terms)
+    if not poly:
+        return None
+    unit, lead, key = _normalize(poly)
+    fac = common
+    if len(key) > 1:
+        fac = _merge(common, ((ctx._factor_id(key), 1),))
+    return _qdiv(unit, scale), lead, fac
+
+
+_UNSET = object()
+
+
+class FactoredExpr:
+    """A Laurent rational function as a lazy sum of factored terms.
+
+    Each term is (coefficient, packed Laurent monomial, factors) with the
+    factors a sorted tuple of (factor id, nonzero exponent).  Immutable.
+    Values are not reduced; `==` and `is_zero` are exact zero tests, and
+    `hash` agrees with `==` (it hashes the reduced form unless the value is
+    a monomial).
+    """
+
+    __slots__ = ("ctx", "terms", "_term", "_reduced")
+
+    def __init__(self, ctx: LaurentContext, terms):
+        self.ctx = ctx
+        self.terms = terms
+        if len(terms) > 1:
+            self._term = _UNSET
+        else:
+            self._term = terms[0] if terms else None
+        self._reduced = None
+
+    @classmethod
+    def from_laurent(cls, expr: "LaurentExpr") -> "FactoredExpr":
+        """The reduced pair as numerator factor over denominator factor."""
+        ctx = expr.ctx
+        raw = expr.raw
+        if not raw:
+            return ctx.zero
+
+        def term(poly):
+            return ctx._poly_term({_pack(e): _ground_to_fraction(c)
+                                   for e, c in poly.terms()})
+
+        nc, nm, nf = term(raw.numer)
+        dc, dm, df = term(raw.denom)
+        return cls(ctx, ((_qdiv(nc, dc), nm - dm, _merge(nf, df, -1)),))
+
+    def _single(self):
+        """This value as one term, or None if it is zero (cached)."""
+        t = self._term
+        if t is _UNSET:
+            t = self._term = _collapse(self.ctx, self.terms)
+        return t
+
+    def _coerce(self, other):
+        if isinstance(other, FactoredExpr):
+            if other.ctx is not self.ctx:
+                raise ExactError("mixing expressions from different contexts")
+            return other
+        if isinstance(other, (int, Fraction)):
+            return self.ctx.rational(other)
+        if isinstance(other, LaurentExpr):
+            if other.ctx is not self.ctx:
+                raise ExactError("mixing expressions from different contexts")
+            return FactoredExpr.from_laurent(other)
+        return NotImplemented
+
+    # -- ring operations ----------------------------------------------------
+
+    def __add__(self, other):
+        o = self._coerce(other)
+        if o is NotImplemented:
+            return o
+        if not o.terms:
+            return self
+        if not self.terms:
+            return o
+        return FactoredExpr(self.ctx, self.terms + o.terms)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return FactoredExpr(self.ctx, tuple((-c, m, f) for c, m, f in self.terms))
+
+    def __sub__(self, other):
+        o = self._coerce(other)
+        if o is NotImplemented:
+            return o
+        return self + (-o)
+
+    def __rsub__(self, other):
+        o = self._coerce(other)
+        if o is NotImplemented:
+            return o
+        return o + (-self)
+
+    def __mul__(self, other):
+        o = self._coerce(other)
+        if o is NotImplemented:
+            return o
+        a, b = self._single(), o._single()
+        if a is None or b is None:
+            return self.ctx.zero
+        return FactoredExpr(self.ctx, ((a[0] * b[0], a[1] + b[1],
+                                        _merge(a[2], b[2])),))
+
+    __rmul__ = __mul__
+
+    def _divide(self, a, b):
+        if b is None:
+            raise DivisionByZeroExpr("division by zero expression")
+        if a is None:
+            return self.ctx.zero
+        return FactoredExpr(self.ctx, ((_qdiv(a[0], b[0]), a[1] - b[1],
+                                        _merge(a[2], b[2], -1)),))
+
+    def __truediv__(self, other):
+        o = self._coerce(other)
+        if o is NotImplemented:
+            return o
+        return self._divide(self._single(), o._single())
+
+    def __rtruediv__(self, other):
+        o = self._coerce(other)
+        if o is NotImplemented:
+            return o
+        return self._divide(o._single(), self._single())
+
+    def __pow__(self, e: int):
+        if not isinstance(e, int):
+            raise ExactError("exponents must be integers")
+        a = self._single()
+        if a is None:
+            if e < 0:
+                raise DivisionByZeroExpr("negative power of zero expression")
+            return self.ctx.one if e == 0 else self.ctx.zero
+        if e == 0:
+            return self.ctx.one
+        c, m, fac = a
+        if abs(e) > 1 and m and max(map(abs, _unpack(m, self.ctx.nvars))) * abs(e) \
+                >= _MAX_POWER_EXP:
+            raise ExactError("monomial exponent out of range")
+        return FactoredExpr(self.ctx, ((_qpow(c, e), m * e,
+                                        tuple((f, k * e) for f, k in fac)),))
+
+    # -- zero test, equality, hashing ----------------------------------------
+
+    @property
+    def is_zero(self):
+        t = self._term
+        if t is _UNSET:
+            terms = _merge_like(self.terms)
+            if len(terms) > 1:
+                if _numerator(self.ctx, terms)[2]:
+                    return False
+                t = self._term = None
+            else:
+                t = self._term = terms[0] if terms else None
+        return t is None
+
+    def __bool__(self):
+        return not self.is_zero
+
+    @property
+    def is_one(self):
+        return self == 1
+
+    def __eq__(self, other):
+        if other is self:
+            return True
+        if isinstance(other, (FactoredExpr, LaurentExpr)) and other.ctx is not self.ctx:
+            return False
+        o = self._coerce(other)
+        if o is NotImplemented:
+            return o
+        return (self - o).is_zero
+
+    def __ne__(self, other):
+        r = self.__eq__(other)
+        return r if r is NotImplemented else not r
+
+    def __hash__(self):
+        t = self._single()
+        if t is None:
+            return hash(0)
+        if not t[2]:
+            return hash((t[0], t[1]))
+        return hash(self.reduce())
+
+    def as_monomial(self):
+        """(coefficient, exponent tuple) of a monomial value."""
+        t = self._single()
+        if t is None or t[2]:
+            raise ExactError("not a monomial")
+        return t[0], tuple(_unpack(t[1], self.ctx.nvars))
+
+    # -- evaluation and substitution ------------------------------------------
+
+    def evaluate(self, point) -> Fraction:
+        """Exact value at a point assigning nonzero rationals to variables.
+
+        `point` is an `EvalPoint` (whose caches then serve later calls) or a
+        mapping from variable names to rationals.  Every variable of the
+        expression must be assigned.  Raises EvaluationError when a
+        denominator factor vanishes at the point, even where it would cancel
+        in the reduced form.
+        """
+        if not isinstance(point, EvalPoint):
+            point = EvalPoint(self.ctx, point)
+        elif point.ctx is not self.ctx:
+            raise ExactError("point from a different context")
+        # integer numerator/denominator pairs; one reduction at the end
+        num, den = 0, 1
+        for c, m, fac in self.terms:
+            tn, td = point.monomial(m)
+            if type(c) is int:
+                tn *= c
+            else:
+                tn, td = tn * c.numerator, td * c.denominator
+            for f, e in fac:
+                fn, fd = point.factor(f)
+                if e > 0:
+                    tn, td = tn * fn ** e, td * fd ** e
+                elif not fn:
+                    raise EvaluationError("denominator vanishes at the point")
+                else:
+                    tn, td = tn * fd ** -e, td * fn ** -e
+            num, den = num * td + tn * den, den * td
+        return Fraction(num, den)
+
+    def scale_z(self, factor) -> "FactoredExpr":
+        """Substitute z -> factor*z for a z-free monomial `factor`."""
+        ctx = self.ctx
+        s = self._coerce(factor)._single()
+        if s is None or s[2]:
+            raise ExactError("scale_z needs a monomial factor")
+        fc, fm, _ = s
+        zi, nv = ctx._z_index, ctx.nvars
+        out = []
+        for c, m, fac in self.terms:
+            ez = _unpack(m, nv)[zi]
+            c, m = c * _qpow(fc, ez), m + ez * fm
+            new_fac = ()
+            for f, e in fac:
+                poly = {}
+                for k, qc in ctx._factor_polys[f].items():
+                    kz = _unpack(k, nv)[zi]
+                    poly[k + kz * fm] = qc * _qpow(fc, kz)
+                uc, um, uf = ctx._poly_term(poly)
+                c, m = c * _qpow(uc, e), m + e * um
+                new_fac = _merge(new_fac, tuple((g, k * e) for g, k in uf))
+            out.append((c, m, new_fac))
+        return FactoredExpr(ctx, tuple(out))
+
+    # -- the canonical form ---------------------------------------------------
+
+    def reduce(self) -> "LaurentExpr":
+        """The reduced canonical form (one gcd, cached)."""
+        r = self._reduced
+        if r is None:
+            r = self._reduced = _reduce_term(self.ctx, self._single())
+        return r
+
+    def to_string(self) -> str:
+        return self.reduce().to_string()
+
+    __str__ = to_string
+
+    def __repr__(self):
+        return "FactoredExpr(%s)" % self.to_string()
+
+
+def _reduce_term(ctx, term) -> "LaurentExpr":
+    ring = ctx.ring
+    if term is None:
+        return LaurentExpr(ctx, ctx.field.zero)
+    c, m, fac = term
+    shift = _unpack(m, ctx.nvars)
+    num = den = ring.one
+    for f, e in fac:
+        fshift, P = ctx._factor_ring(f)
+        shift = [s + e * x for s, x in zip(shift, fshift)]
+        if e > 0:
+            num = num * P ** e
+        else:
+            den = den * P ** -e
+    c = Fraction(c)
+    num = num.mul_monom(tuple(max(s, 0) for s in shift)).mul_ground(QQ(c.numerator))
+    den = den.mul_monom(tuple(max(-s, 0) for s in shift)).mul_ground(QQ(c.denominator))
+    return LaurentExpr(ctx, ctx._frac(num, den))
+
+
+class EvalPoint:
+    """An assignment of nonzero rationals to variables, with per-point caches
+    of monomial values and factor values as integer (numerator, denominator)
+    pairs."""
+
+    __slots__ = ("ctx", "values", "_monos", "_factors")
+
+    def __init__(self, ctx: LaurentContext, point):
+        values = []
+        for name in ctx.var_names:
+            if name in point:
+                q = Fraction(point[name])
+                if q == 0:
+                    raise EvaluationError("variable %s assigned zero" % name)
+                values.append(q)
+            else:
+                values.append(None)
+        self.ctx = ctx
+        self.values = values
+        self._monos = {}
+        self._factors = {}
+
+    def monomial(self, key: int):
+        hit = self._monos.get(key)
+        if hit is None:
+            n = d = 1
+            for i, e in enumerate(_unpack(key, self.ctx.nvars)):
+                if not e:
+                    continue
+                x = self.values[i]
+                if x is None:
+                    raise EvaluationError("variable %s occurs but is not "
+                                          "assigned" % self.ctx.var_names[i])
+                if e > 0:
+                    n, d = n * x.numerator ** e, d * x.denominator ** e
+                else:
+                    n, d = n * x.denominator ** -e, d * x.numerator ** -e
+            hit = self._monos[key] = (n, d)
+        return hit
+
+    def factor(self, fid: int):
+        hit = self._factors.get(fid)
+        if hit is None:
+            n, d = 0, 1
+            for k, c in self.ctx._factor_polys[fid].items():
+                mn, md = self.monomial(k)
+                n, d = n * md + c * mn * d, d * md
+            g = gcd(n, d)
+            hit = self._factors[fid] = (n // g, d // g)
+        return hit
 
 
 class LaurentExpr:
     """A reduced Laurent rational function over a LaurentContext.
 
     Immutable; all operators return new values.  Equality and hash are
-    canonical (same value <=> same representation).
+    canonical (same value <=> same representation).  Field operations
+    follow sympy's own formulas and reduce through `_cancel`.
     """
 
     __slots__ = ("ctx", "raw")
@@ -141,58 +727,82 @@ class LaurentExpr:
         self.ctx = ctx
         self.raw = raw
 
+    def _new(self, num, den):
+        return LaurentExpr(self.ctx, self.ctx._frac(num, den))
+
     def _coerce(self, other):
         if isinstance(other, LaurentExpr):
             if other.ctx is not self.ctx:
                 raise ExactError("mixing expressions from different contexts")
             return other.raw
         if isinstance(other, (int, Fraction)):
-            return self.ctx.field.ground_new(_to_ground(Fraction(other)))
+            return self.ctx._ground(other)
         return NotImplemented
 
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return LaurentExpr(self.ctx, self.raw + o)
+        g = self._coerce(other)
+        if g is NotImplemented:
+            return g
+        f = self.raw
+        if not g:
+            return self
+        if not f:
+            return LaurentExpr(self.ctx, g)
+        if f.denom == g.denom:
+            return self._new(f.numer + g.numer, f.denom)
+        return self._new(f.numer * g.denom + f.denom * g.numer, f.denom * g.denom)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return LaurentExpr(self.ctx, self.raw - o)
+        g = self._coerce(other)
+        if g is NotImplemented:
+            return g
+        return self._difference(self.raw, g)
 
     def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return LaurentExpr(self.ctx, o - self.raw)
+        g = self._coerce(other)
+        if g is NotImplemented:
+            return g
+        return self._difference(g, self.raw)
+
+    def _difference(self, f, g):
+        if not g:
+            return LaurentExpr(self.ctx, f)
+        if not f:
+            return LaurentExpr(self.ctx, -g)
+        if f.denom == g.denom:
+            return self._new(f.numer - g.numer, f.denom)
+        return self._new(f.numer * g.denom - f.denom * g.numer, f.denom * g.denom)
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return LaurentExpr(self.ctx, self.raw * o)
+        g = self._coerce(other)
+        if g is NotImplemented:
+            return g
+        f = self.raw
+        if not f or not g:
+            return LaurentExpr(self.ctx, self.ctx.field.zero)
+        return self._new(f.numer * g.numer, f.denom * g.denom)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        if not o:
+        g = self._coerce(other)
+        if g is NotImplemented:
+            return g
+        if not g:
             raise DivisionByZeroExpr("division by zero expression")
-        return LaurentExpr(self.ctx, self.raw / o)
+        f = self.raw
+        return self._new(f.numer * g.denom, f.denom * g.numer)
 
     def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        if not self.raw:
+        g = self._coerce(other)
+        if g is NotImplemented:
+            return g
+        f = self.raw
+        if not f:
             raise DivisionByZeroExpr("division by zero expression")
-        return LaurentExpr(self.ctx, o / self.raw)
+        return self._new(g.numer * f.denom, g.denom * f.numer)
 
     def __pow__(self, e: int):
         if not isinstance(e, int):
@@ -216,7 +826,16 @@ class LaurentExpr:
         return r if r is NotImplemented else not r
 
     def __hash__(self):
-        return hash((id(self.ctx), self.raw))
+        # monomials hash like their FactoredExpr forms
+        raw = self.raw
+        if not raw:
+            return hash(0)
+        if raw.numer.is_term and raw.denom.is_term:
+            (ne, nc), = raw.numer.terms()
+            (de, dc), = raw.denom.terms()
+            coeff = _q(_ground_to_fraction(nc) / _ground_to_fraction(dc))
+            return hash((coeff, _pack(a - b for a, b in zip(ne, de))))
+        return hash((id(self.ctx), raw))
 
     def __bool__(self):
         return bool(self.raw)
@@ -228,6 +847,9 @@ class LaurentExpr:
     @property
     def is_one(self):
         return self.raw == self.ctx.field.one
+
+    def reduce(self) -> "LaurentExpr":
+        return self
 
     def numerator_terms(self):
         """Terms of the reduced numerator, grlex-descending: (exps, Fraction)."""
@@ -269,27 +891,6 @@ class LaurentExpr:
             raise EvaluationError("denominator vanishes at the point")
         return _ground_to_fraction(num) / _ground_to_fraction(den)
 
-    def scale_z(self, factor: "LaurentExpr") -> "LaurentExpr":
-        """Substitute z -> factor*z for a z-free monomial `factor`."""
-        ctx = self.ctx
-        fr = factor.raw
-        if not (fr.denom.is_term and fr.numer.is_term):
-            raise ExactError("scale_z needs a monomial factor")
-        zi = ctx._z_index
-        f = ctx.field
-
-        def transform(poly):
-            out = f.zero
-            for exps, c in poly.terms():
-                base = f.new(ctx.ring.from_terms([(exps, c)]), ctx.ring.one)
-                out += base * (fr ** exps[zi])
-            return out
-
-        den = transform(self.raw.denom)
-        if not den:
-            raise DivisionByZeroExpr("scaling vanished the denominator")
-        return LaurentExpr(ctx, transform(self.raw.numer) / den)
-
     def z_coeffs(self):
         """(num_coeffs, den_coeffs): dicts z-degree -> z-free LaurentExpr."""
         ctx = self.ctx
@@ -304,7 +905,7 @@ class LaurentExpr:
                 term = ctx.ring.from_terms([(tuple(stripped), c)])
                 buckets[zdeg] = buckets.get(zdeg, ctx.ring.zero) + term
             return {
-                d: LaurentExpr(ctx, ctx.field.new(p, ctx.ring.one))
+                d: LaurentExpr(ctx, ctx._frac(p, ctx.ring.one))
                 for d, p in buckets.items()
             }
 
@@ -388,11 +989,11 @@ def expr_from_string(ctx: LaurentContext, text: str) -> LaurentExpr:
         den = ctx.ring.one
     if not den:
         raise DivisionByZeroExpr("zero denominator in serialized form")
-    return LaurentExpr(ctx, ctx.field.new(num, den))
+    return LaurentExpr(ctx, ctx._frac(num, den))
 
 
-def arith(a: LaurentExpr, b: LaurentExpr, op: str) -> LaurentExpr:
-    """Field operation with canonical reduced result."""
+def arith(a, b, op: str):
+    """Field operation by name."""
     if op == "add":
         return a + b
     if op == "sub":
@@ -445,28 +1046,31 @@ class LaurentSeries:
         )
 
 
-def expand_series(f: LaurentExpr, direction: str, order: int) -> LaurentSeries:
+def expand_series(f, direction: str, order: int) -> LaurentSeries:
     """Laurent expansion of f at z=infinity (powers z^{-r}) or z=0 (z^{r}).
 
-    The denominator, read as a polynomial in z resp. z^{-1}, must have an
+    `f` is reduced first; the coefficients are `LaurentExpr` values.  The
+    denominator, read as a polynomial in z resp. z^{-1}, must have an
     invertible constant term; at infinity the numerator's z-degree must not
     exceed the denominator's (otherwise the expansion is not a pure
     z^{-r} series and NotExpandable is raised).
     """
     if order < 0:
         raise ExactError("order must be nonnegative")
+    f = f.reduce()
     ctx = f.ctx
+    zero = LaurentExpr(ctx, ctx.field.zero)
     numc, denc = f.z_coeffs()
     if not numc:
-        return LaurentSeries(ctx, direction, order, [ctx.zero] * (order + 1))
+        return LaurentSeries(ctx, direction, order, [zero] * (order + 1))
     num_degs = sorted(numc)
     den_degs = sorted(denc)
     if direction == AT_ZERO:
         num_low, den_low = num_degs[0], den_degs[0]
         shift = min(num_low, den_low)
         # cancel z^shift so both sides are honest polynomials in z
-        n_of = lambda r: numc.get(r + shift, ctx.zero)
-        d_of = lambda r: denc.get(r + shift, ctx.zero)
+        n_of = lambda r: numc.get(r + shift, zero)
+        d_of = lambda r: denc.get(r + shift, zero)
         if d_of(0).is_zero:
             raise NotExpandable("denominator has no invertible constant term at z=0")
         dmax = den_degs[-1] - shift
@@ -475,8 +1079,8 @@ def expand_series(f: LaurentExpr, direction: str, order: int) -> LaurentSeries:
         if num_high > den_high:
             raise NotExpandable("numerator z-degree exceeds denominator at z=infinity")
         shift = den_high
-        n_of = lambda r: numc.get(shift - r, ctx.zero)
-        d_of = lambda r: denc.get(shift - r, ctx.zero)
+        n_of = lambda r: numc.get(shift - r, zero)
+        d_of = lambda r: denc.get(shift - r, zero)
         dmax = shift - den_degs[0]
     lead = d_of(0)
     coeffs = []
@@ -490,24 +1094,19 @@ def expand_series(f: LaurentExpr, direction: str, order: int) -> LaurentSeries:
     return LaurentSeries(ctx, direction, order, coeffs)
 
 
-def recomposition_residual(f: LaurentExpr, series: LaurentSeries) -> bool:
+def recomposition_residual(f, series: LaurentSeries) -> bool:
     """True iff (series * denominator - numerator) vanishes through the order.
 
     Independent check of expand_series: reconstitutes f from the truncated
     series and verifies agreement of the leading `order+1` coefficients.
     """
+    f = f.reduce()
     ctx = f.ctx
-    z = ctx.z
-    if series.direction == AT_INFINITY:
-        s = sum(
-            (series.coefficients[r] * z ** (-r) for r in range(series.order + 1)),
-            ctx.zero,
-        )
-    else:
-        s = sum(
-            (series.coefficients[r] * z ** r for r in range(series.order + 1)),
-            ctx.zero,
-        )
+    z = LaurentExpr(ctx, ctx.field.gens[ctx._z_index])
+    s = LaurentExpr(ctx, ctx.field.zero)
+    sign = -1 if series.direction == AT_INFINITY else 1
+    for r in range(series.order + 1):
+        s = s + series.coefficients[r] * z ** (sign * r)
     diff = f - s
     if diff.is_zero:
         return True
@@ -519,3 +1118,100 @@ def recomposition_residual(f: LaurentExpr, series: LaurentSeries) -> bool:
         return all(dref - d > series.order for d in numc)
     dref = min(denc)
     return all(d - dref > series.order for d in numc)
+
+
+def series_coefficient(f, direction: str, r: int) -> FactoredExpr:
+    """Coefficient of z^{-r} (at_infinity) resp. z^{r} (at_zero) in the
+    Laurent expansion of a FactoredExpr, as a sum of monomial terms.
+
+    The expansion runs factor by factor with no gcd: each factor is written
+    as x^s * lead * (1 + g(x)) in the expansion variable x (z^{-1} at
+    infinity, z at zero), which needs a monomial `lead`; 1 - a z^{-1} has
+    one in both directions.  A factor without one sends the value through
+    `expand_series`.
+    """
+    ctx = f.ctx
+    zi = ctx._z_index
+    zunit = 1 << (_BITS * zi)
+    sign = -1 if direction == AT_INFINITY else 1
+    total = {}
+    for c, m, fac in f.terms:
+        ez = _unpack(m, ctx.nvars)[zi]
+        need = r - sign * ez
+        coeff, key = c, m - ez * zunit
+        parts = []
+        for fid, k in fac:
+            split = _series_split(ctx, fid, sign)
+            if split is None:
+                return FactoredExpr.from_laurent(
+                    expand_series(f, direction, r).coefficient(r))
+            s, lc, lkey, g = split
+            need -= s * k
+            coeff, key = coeff * _qpow(lc, k), key + lkey * k
+            parts.append((g, k))
+        if need < 0:
+            continue
+        series = _series_one(need)
+        for g, k in parts:
+            series = _series_mul(series, _series_pow(g, k, need), need)
+        for e, v in series[need].items():
+            total[key + e] = total.get(key + e, 0) + coeff * v
+    return FactoredExpr(ctx, tuple((_q(v), e, ()) for e, v in total.items() if v))
+
+
+def _series_split(ctx, fid, sign):
+    """(s, lead coefficient, lead monomial, g) with factor
+    x^s * lead * (1 + g(x)), g = {order >= 1: z-free polynomial}, x = z^sign;
+    None when the lowest x-order part is not a monomial."""
+    zi = ctx._z_index
+    zunit = 1 << (_BITS * zi)
+    by_order = {}
+    for key, c in ctx._factor_polys[fid].items():
+        ez = _unpack(key, ctx.nvars)[zi]
+        by_order.setdefault(sign * ez, []).append((key - ez * zunit, c))
+    s = min(by_order)
+    lead = by_order.pop(s)
+    if len(lead) != 1:
+        return None
+    (lkey, lc), = lead
+    g = {d - s: {key - lkey: _qdiv(c, lc) for key, c in items}
+         for d, items in by_order.items()}
+    return s, lc, lkey, g
+
+
+def _series_one(n):
+    return [{0: 1}] + [{} for _ in range(n)]
+
+
+def _series_mul(a, b, n):
+    """Product of two series (lists of polynomials by order) through order n."""
+    out = [{} for _ in range(n + 1)]
+    for i, pa in enumerate(a):
+        if not pa:
+            continue
+        for j in range(n + 1 - i):
+            if b[j]:
+                acc = out[i + j]
+                for e, c in _pmul(pa, b[j]).items():
+                    acc[e] = acc.get(e, 0) + c
+    return out
+
+
+def _series_pow(g, k, n):
+    """(1 + g)^k through order n, for g of order >= 1 and any integer k."""
+    if k < 0:
+        # 1 / (1 + g) = sum_i (-g)^i, and (-g)^i starts at order i
+        neg = [{}] + [{e: -c for e, c in g.get(d, {}).items()}
+                      for d in range(1, n + 1)]
+        base, power = _series_one(n), _series_one(n)
+        for _ in range(n):
+            power = _series_mul(power, neg, n)
+            base = [{e: a.get(e, 0) + b.get(e, 0) for e in a.keys() | b.keys()}
+                    for a, b in zip(base, power)]
+        k = -k
+    else:
+        base = [{0: 1}] + [g.get(d, {}) for d in range(1, n + 1)]
+    out = _series_one(n)
+    for _ in range(k):
+        out = _series_mul(out, base, n)
+    return out

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exact import AT_INFINITY, AT_ZERO, LaurentContext, LaurentExpr, expand_series
+from .exact import AT_INFINITY, AT_ZERO, FactoredExpr, LaurentContext, \
+    series_coefficient
 from .patterns import FinitePattern, neighbors, s_weight
 
 
@@ -43,10 +44,10 @@ class Transition:
 
     column: int
     target: object
-    base: LaurentExpr
-    beta: LaurentExpr
+    base: FactoredExpr
+    beta: FactoredExpr
 
-    def coeff(self, r: int) -> LaurentExpr:
+    def coeff(self, r: int) -> FactoredExpr:
         return self.base * self.beta ** r
 
 
@@ -63,12 +64,12 @@ class FiniteAction:
 
     # -- weights ---------------------------------------------------------
 
-    def s(self, p: FinitePattern, i: int, j: int) -> LaurentExpr:
+    def s(self, p: FinitePattern, i: int, j: int) -> FactoredExpr:
         return s_weight(self.ctx, p, i, j)
 
     # -- matrix coefficients ----------------------------------------------
 
-    def f_base_coeff(self, src: FinitePattern, i: int, j: int) -> LaurentExpr:
+    def f_base_coeff(self, src: FinitePattern, i: int, j: int) -> FactoredExpr:
         """r=0 coefficient of the f-transition raising d_{ij}."""
         if src.bump(i, j, 1) is None:
             raise ActionError("invalid f-move at (%d, %d)" % (i, j))
@@ -88,7 +89,7 @@ class FiniteAction:
             out = out * (1 - sij / self.s(src, i - 1, k))
         return out
 
-    def e_base_coeff(self, src: FinitePattern, i: int, j: int) -> LaurentExpr:
+    def e_base_coeff(self, src: FinitePattern, i: int, j: int) -> FactoredExpr:
         """r=0 coefficient of the e-transition lowering d_{ij}."""
         if src.bump(i, j, -1) is None:
             raise ActionError("invalid e-move at (%d, %d)" % (i, j))
@@ -107,17 +108,17 @@ class FiniteAction:
             out = out * (1 - self.s(src, i + 1, k) / sij)
         return out
 
-    def f_mode_coeff(self, src: FinitePattern, i: int, j: int, r: int) -> LaurentExpr:
+    def f_mode_coeff(self, src: FinitePattern, i: int, j: int, r: int) -> FactoredExpr:
         return self.f_base_coeff(src, i, j) * self.f_beta(src, i, j) ** r
 
-    def e_mode_coeff(self, src: FinitePattern, i: int, j: int, r: int) -> LaurentExpr:
+    def e_mode_coeff(self, src: FinitePattern, i: int, j: int, r: int) -> FactoredExpr:
         return self.e_base_coeff(src, i, j) * self.e_beta(src, i, j) ** r
 
-    def f_beta(self, src: FinitePattern, i: int, j: int) -> LaurentExpr:
+    def f_beta(self, src: FinitePattern, i: int, j: int) -> FactoredExpr:
         """Spectral parameter s_{ij} v^i of an f-transition."""
         return self.s(src, i, j) * self.ctx.v ** i
 
-    def e_beta(self, src: FinitePattern, i: int, j: int) -> LaurentExpr:
+    def e_beta(self, src: FinitePattern, i: int, j: int) -> FactoredExpr:
         """Spectral parameter s_{ij} v^{i+2} of an e-transition."""
         return self.s(src, i, j) * self.ctx.v ** (i + 2)
 
@@ -147,7 +148,7 @@ class FiniteAction:
 
     # -- diagonal series ---------------------------------------------------
 
-    def psi_eigenvalue(self, p: FinitePattern, i: int) -> LaurentExpr:
+    def psi_eigenvalue(self, p: FinitePattern, i: int) -> FactoredExpr:
         """Diagonal eigenvalue of the psi-series at node i, rational in z."""
         if not (1 <= i <= self.n - 1):
             raise ActionError("node out of range")
@@ -171,7 +172,7 @@ class FiniteAction:
         self._psi_cache[key] = out
         return out
 
-    def psi_mode(self, p: FinitePattern, i: int, m: int, sign: str) -> LaurentExpr:
+    def psi_mode(self, p: FinitePattern, i: int, m: int, sign: str) -> FactoredExpr:
         """Coefficient of z^{-m} in the +/- expansion; 0 on sign mismatch."""
         if sign not in ("+", "-"):
             raise ActionError("sign must be '+' or '-'")
@@ -179,10 +180,10 @@ class FiniteAction:
             return self.ctx.zero
         psi = self.psi_eigenvalue(p, i)
         if sign == "+":
-            return expand_series(psi, AT_INFINITY, m).coefficient(m)
-        return expand_series(psi, AT_ZERO, -m).coefficient(-m)
+            return series_coefficient(psi, AT_INFINITY, m)
+        return series_coefficient(psi, AT_ZERO, -m)
 
-    def b_series_eigenvalue(self, p: FinitePattern, m: int) -> LaurentExpr:
+    def b_series_eigenvalue(self, p: FinitePattern, m: int) -> FactoredExpr:
         """Eigenvalue of the m-th tautological series: prod_{j<=m}(1 - z^{-1}s_{mj})."""
         if not (0 <= m <= self.n):
             raise ActionError("row out of range")
@@ -192,8 +193,8 @@ class FiniteAction:
         return out
 
     def b_quotient_eigenvalue(
-        self, p: FinitePattern, m: int, i: int, scale: LaurentExpr
-    ) -> LaurentExpr:
+        self, p: FinitePattern, m: int, i: int, scale: FactoredExpr
+    ) -> FactoredExpr:
         """Eigenvalue of the quotient series b_{mi} at argument z*scale."""
         if not (0 <= m <= i <= self.n):
             raise ActionError("need 0 <= m <= i <= n")
@@ -207,7 +208,7 @@ class FiniteAction:
             den = den * (1 - zs ** -1 * self.s(p, m, j))
         return num / den
 
-    def psi_via_quotients(self, p: FinitePattern, i: int, m: int) -> LaurentExpr:
+    def psi_via_quotients(self, p: FinitePattern, i: int, m: int) -> FactoredExpr:
         """psi eigenvalue computed through the b_{m*} quotient route (m < i)."""
         if not (0 <= m < i):
             raise ActionError("need 0 <= m < i")
@@ -224,11 +225,11 @@ class FiniteAction:
             * self.b_quotient_eigenvalue(p, m, i + 1, v ** (-i - 2))
         )
 
-    def psi_via_a_series(self, p: FinitePattern, i: int) -> LaurentExpr:
+    def psi_via_a_series(self, p: FinitePattern, i: int) -> FactoredExpr:
         """psi eigenvalue from the a-series product (the m=0 quotient route)."""
         return self.psi_via_quotients(p, i, 0)
 
-    def chi_coeff(self, p: FinitePattern, i: int, a: int) -> LaurentExpr:
+    def chi_coeff(self, p: FinitePattern, i: int, a: int) -> FactoredExpr:
         """Diagonal commutator coefficient chi_{i,a}."""
         if not (1 <= i <= self.n - 1):
             raise ActionError("node out of range")
@@ -266,7 +267,7 @@ class FiniteAction:
             total = total + sij * term
         return pref * total
 
-    def t_cartan_eigenvalue(self, p: FinitePattern, i: int) -> LaurentExpr:
+    def t_cartan_eigenvalue(self, p: FinitePattern, i: int) -> FactoredExpr:
         """Zero-mode Cartan eigenvalue t_i v^{d_{i-1} - d_i + i - 1}."""
         if not (1 <= i <= self.n):
             raise ActionError("Cartan node out of range")
@@ -276,7 +277,7 @@ class FiniteAction:
 
     # -- independent zero-mode formulas ------------------------------------
 
-    def feigin_f_coeff(self, src: FinitePattern, i: int, j: int) -> LaurentExpr:
+    def feigin_f_coeff(self, src: FinitePattern, i: int, j: int) -> FactoredExpr:
         """Zero-mode f coefficient written directly in the t,v variables."""
         if src.bump(i, j, 1) is None:
             raise ActionError("invalid f-move")
@@ -307,7 +308,7 @@ class FiniteAction:
             )
         return out
 
-    def feigin_e_coeff(self, src: FinitePattern, i: int, j: int) -> LaurentExpr:
+    def feigin_e_coeff(self, src: FinitePattern, i: int, j: int) -> FactoredExpr:
         """Zero-mode e coefficient written directly in the t,v variables."""
         if src.bump(i, j, -1) is None:
             raise ActionError("invalid e-move")
@@ -355,7 +356,7 @@ class GradedVector:
     def basis(cls, ctx: LaurentContext, p) -> "GradedVector":
         return cls(p.n, {p: ctx.one})
 
-    def add_term(self, p, c: LaurentExpr) -> None:
+    def add_term(self, p, c: FactoredExpr) -> None:
         if p.n != self.n:
             raise ActionError("mixed ranks in vector")
         acc = self.coeffs.get(p)
@@ -371,7 +372,7 @@ class GradedVector:
             out.add_term(p, c)
         return out
 
-    def scaled(self, c: LaurentExpr) -> "GradedVector":
+    def scaled(self, c: FactoredExpr) -> "GradedVector":
         if c.is_zero:
             return GradedVector(self.n)
         return GradedVector(self.n, {p: x * c for p, x in self.coeffs.items()})

@@ -16,16 +16,15 @@ nonincreasing positive parts.
 from __future__ import annotations
 
 import itertools
-import json
 
-from .exact import LaurentContext, LaurentExpr
+from .exact import FactoredExpr, LaurentContext
 
 
 class PatternError(ValueError):
     pass
 
 
-def _ceil_div(a: int, b: int) -> int:
+def ceil_div(a: int, b: int) -> int:
     return -((-a) // b)
 
 
@@ -417,21 +416,21 @@ def from_lambda_grid(g: LambdaGrid) -> AffinePattern:
     return AffinePattern(n, lams)
 
 
-def s_weight(ctx: LaurentContext, p: FinitePattern, i: int, j: int) -> LaurentExpr:
+def s_weight(ctx: LaurentContext, p: FinitePattern, i: int, j: int) -> FactoredExpr:
     """Torus weight t_j^2 v^{-2 d_{ij}} (row n contributes plain t_j^2)."""
     if not (1 <= j <= i <= p.n):
         raise PatternError("s_weight needs 1 <= j <= i <= n")
     return ctx.t[j - 1] ** 2 * ctx.v ** (-2 * p.d(i, j))
 
 
-def p_weight(ctx: LaurentContext, p: AffinePattern, i: int, j: int) -> LaurentExpr:
+def p_weight(ctx: LaurentContext, p: AffinePattern, i: int, j: int) -> FactoredExpr:
     """Torus weight t_{(j mod n)}^2 v^{-2 d_{ij}} u^{2 ceil(j/n)}."""
     if j > i:
         raise PatternError("p_weight needs j <= i")
     return (
         ctx.t_res(j) ** 2
         * ctx.v ** (-2 * p.d(i, j))
-        * ctx.u ** (2 * _ceil_div(j, p.n))
+        * ctx.u ** (2 * ceil_div(j, p.n))
     )
 
 
@@ -464,7 +463,3 @@ def neighbors(p, i: int, direction: int):
         out.sort(key=lambda pair: -pair[0])
         return out
     raise PatternError("unknown pattern type %r" % type(p))
-
-
-def pattern_json_dumps(p) -> str:
-    return json.dumps(p.to_json(), sort_keys=True)

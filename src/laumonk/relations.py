@@ -14,7 +14,8 @@ uses the normalization the fixed-point operators actually satisfy,
 recovers it and leaves every other family invariant).
 
 Failures are reported, never thrown: each run returns a VerificationReport
-with a counterexample payload when a residual survives.
+with a counterexample payload when a residual survives, and with status
+"error" when the random strategy finds no usable sample points.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import EvaluationError, LaurentExpr
+from .exact import EvalPoint, EvaluationError, FactoredExpr
 from .finite_action import FiniteAction
 from .patterns import enumerate_affine_total, enumerate_finite
 from .toroidal_action import ToroidalAction
@@ -60,6 +61,7 @@ class VerificationReport:
     status: str
     entries_checked: int
     counterexample: dict | None = None
+    error: str | None = None
 
     @property
     def passed(self) -> bool:
@@ -74,6 +76,8 @@ class VerificationReport:
         }
         if self.counterexample is not None:
             out["counterexample"] = self.counterexample
+        if self.error is not None:
+            out["error"] = self.error
         return out
 
 
@@ -108,10 +112,10 @@ class FiniteModel:
     def transitions(self, kind: str, node: int, src):
         return self.action.transitions(kind, node, src)
 
-    def psi(self, p, node: int) -> LaurentExpr:
+    def psi(self, p, node: int) -> FactoredExpr:
         return self.action.psi_eigenvalue(p, node)
 
-    def psi_mode(self, p, node: int, m: int, sign: str) -> LaurentExpr:
+    def psi_mode(self, p, node: int, m: int, sign: str) -> FactoredExpr:
         return self.action.psi_mode(p, node, m, sign)
 
     def pattern_json(self, p):
@@ -150,13 +154,13 @@ class AffineModel:
     def transitions(self, kind: str, node: int, src):
         return self.action.transitions(kind, node, src)
 
-    def psi(self, p, node: int) -> LaurentExpr:
+    def psi(self, p, node: int) -> FactoredExpr:
         return self.action.psi_eigenvalue(p, node)
 
-    def psi_hat(self, p) -> LaurentExpr:
+    def psi_hat(self, p) -> FactoredExpr:
         return self.action.psi_hat_eigenvalue(p)
 
-    def psi_mode(self, p, node: int, m: int, sign: str) -> LaurentExpr:
+    def psi_mode(self, p, node: int, m: int, sign: str) -> FactoredExpr:
         return self.action.psi_mode(p, node, m, sign)
 
     def pattern_json(self, p):
@@ -237,7 +241,7 @@ class _SymbolicEval:
         self.ctx = ctx
         self.zero = ctx.zero
 
-    def lift(self, expr: LaurentExpr):
+    def lift(self, expr: FactoredExpr):
         return expr
 
     def var(self, name: str):
@@ -260,6 +264,7 @@ class _RandomEval:
         self.rng = rng
         self.trials = trials
         self.points = [self._sample_point() for _ in range(trials)]
+        self._at = [EvalPoint(ctx, pt) for pt in self.points]
         self.zero = RVec([Fraction(0)] * trials)
 
     def _sample_point(self):
@@ -278,9 +283,9 @@ class _RandomEval:
             point[name] = q
         return point
 
-    def lift(self, expr: LaurentExpr):
+    def lift(self, expr: FactoredExpr):
         vals = []
-        for i, pt in enumerate(self.points):
+        for i, pt in enumerate(self._at):
             try:
                 vals.append(expr.evaluate(pt))
             except EvaluationError:
@@ -311,20 +316,24 @@ def _make_eval(model, strategy, rel, scope, seed, trials):
     return _RandomEval(model.ctx, rng, trials)
 
 
+_ATTEMPTS = 13
+
+
 def _run(model, rel, scope, strategy, seed, trials, body):
-    """Drive `body(ev)` with resampling on unlucky random points."""
-    attempts = 0
-    while True:
-        ev = _make_eval(model, strategy, rel, scope, seed + attempts, trials)
+    """Drive `body(ev)`, resampling on unlucky random points; when every
+    attempt hits a vanishing denominator the report has status "error"."""
+    for attempt in range(_ATTEMPTS):
+        ev = _make_eval(model, strategy, rel, scope, seed + attempt, trials)
         try:
             entries, counterexample = body(ev)
-            break
         except _Resample:
-            attempts += 1
-            if attempts > 12:
-                raise
-    status = "pass" if counterexample is None else "fail"
-    return VerificationReport(rel, scope, status, entries, counterexample)
+            continue
+        status = "pass" if counterexample is None else "fail"
+        return VerificationReport(rel, scope, status, entries, counterexample)
+    return VerificationReport(
+        rel, scope, "error", 0,
+        error="every sample point of %d attempts vanished a denominator"
+        % _ATTEMPTS)
 
 
 def _scope(model, strategy, seed, trials, **extra):

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exact import LaurentContext, LaurentExpr
+from .exact import ExactError, FactoredExpr, LaurentContext
 from .finite_action import ActionError
 from .patterns import AffinePattern, enumerate_affine
 from .toroidal_action import ToroidalAction
@@ -25,14 +25,6 @@ class WeightError(ValueError):
 
 class SpecializationError(ValueError):
     pass
-
-
-def _floor_div(a: int, b: int) -> int:
-    return a // b
-
-
-def _ceil_div(a: int, b: int) -> int:
-    return -((-a) // b)
 
 
 @dataclass(frozen=True)
@@ -73,7 +65,7 @@ class ExtendedWeight:
     def __call__(self, i: int) -> int:
         n = self.w.n
         rep = (i - (1 - n)) % n + (1 - n)
-        return self.w.mu_at(rep) + _floor_div(-i, n) * self.w.K
+        return self.w.mu_at(rep) + (-i // n) * self.w.K
 
 
 def extend_weight(w: LevelWeight) -> ExtendedWeight:
@@ -131,56 +123,44 @@ class SpecializationMap:
         self.u_exponent = -w.K - w.n if u_exponent is None else u_exponent
         self.ctx = LaurentContext(w.n)
 
-    def monomial_exponent(self, mono: LaurentExpr) -> int:
-        """v-exponent of the specialized monomial."""
-        num = mono.numerator_terms()
-        den = mono.denominator_terms()
-        if len(num) != 1 or len(den) != 1:
-            raise SpecializationError("not a monomial")
-        (nexp, ncoeff), (dexp, dcoeff) = num[0], den[0]
-        if abs(ncoeff) != 1 or abs(dcoeff) != 1:
-            raise SpecializationError("not a unit-coefficient monomial")
+    def exponent(self, exps) -> int:
+        """v-exponent of the specialized monomial with exponent vector exps."""
         out = 0
-        for var_index, e in enumerate(tuple(a - b for a, b in zip(nexp, dexp))):
-            if e == 0:
+        for var_index, power in enumerate(exps):
+            if not power:
                 continue
             name = self.ctx.var_names[var_index]
             if name.startswith("t"):
-                out += e * self.t_exponents[int(name[1:]) - 1]
+                out += power * self.t_exponents[int(name[1:]) - 1]
             elif name == "u":
-                out += e * self.u_exponent
+                out += power * self.u_exponent
             elif name == "v":
-                out += e
+                out += power
             else:
-                raise SpecializationError("monomial involves %s" % name)
+                raise SpecializationError("expression involves %s" % name)
         return out
 
+    def monomial_exponent(self, mono: FactoredExpr) -> int:
+        """v-exponent of the specialized monomial."""
+        try:
+            coeff, exps = mono.as_monomial()
+        except ExactError:
+            raise SpecializationError("not a monomial") from None
+        if abs(coeff) != 1:
+            raise SpecializationError("not a unit-coefficient monomial")
+        return self.exponent(exps)
+
     def _specialize_poly_terms(self, terms):
-        out = self.ctx.zero
         v = self.ctx.v
-        for exps, coeff in terms:
-            e = 0
-            for var_index, power in enumerate(exps):
-                if not power:
-                    continue
-                name = self.ctx.var_names[var_index]
-                if name.startswith("t"):
-                    e += power * self.t_exponents[int(name[1:]) - 1]
-                elif name == "u":
-                    e += power * self.u_exponent
-                elif name == "v":
-                    e += power
-                else:
-                    raise SpecializationError("expression involves %s" % name)
-            out = out + self.ctx.rational(coeff) * v ** e
-        return out
+        return sum((self.ctx.rational(coeff) * v ** self.exponent(exps)
+                    for exps, coeff in terms), self.ctx.zero)
 
 
 @dataclass
 class SpecializedExpr:
     """Univariate Laurent rational value of a specialized expression."""
 
-    expr: LaurentExpr
+    expr: FactoredExpr
 
     def __eq__(self, other):
         if isinstance(other, SpecializedExpr):
@@ -195,10 +175,11 @@ class SpecializedExpr:
         return self.expr.to_string()
 
 
-def specialize(x: LaurentExpr, w: LevelWeight,
+def specialize(x: FactoredExpr, w: LevelWeight,
                u_exponent: int = None) -> SpecializedExpr:
-    """Exact substitution on the (unreduced) numerator/denominator pair."""
+    """Exact substitution on the reduced numerator/denominator pair."""
     smap = SpecializationMap(w, u_exponent)
+    x = x.reduce()
     num = smap._specialize_poly_terms(x.numerator_terms())
     den = smap._specialize_poly_terms(x.denominator_terms())
     if den.is_zero:
@@ -327,7 +308,7 @@ class RenormalizedAction:
         return FactoredCoefficient(smap, sign, v_power, tuple(num), tuple(den))
 
     def symbolic_coefficient(self, kind: str, src: AffinePattern, i: int,
-                             j: int, r: int) -> LaurentExpr:
+                             j: int, r: int) -> FactoredExpr:
         """The same renormalized coefficient before specialization."""
         ctx = self.ctx
         v = ctx.v
@@ -367,14 +348,15 @@ class RenormalizedAction:
 
 
 def build_Vmu_block(w: LevelWeight, deg, window: int = 2,
-                    u_exponent: int = None) -> dict:
+                    u_exponent: int = None, with_matrices: bool = True) -> dict:
     """Basis and closure data of one graded block of the candidate module.
 
     Returns the D(mu)-basis of the degree block, the specialized matrices of
-    all raising/lowering modes in the window, and the closure report: (a)
-    transitions staying inside D(mu) have nonvanishing denominators (well
-    defined values), (b) transitions leaving D(mu) have vanishing numerators.
-    Violations are collected, not thrown.
+    all raising/lowering modes in the window (an empty list when
+    with_matrices is false), and the closure report: (a) transitions staying
+    inside D(mu) have nonvanishing denominators (well defined values), (b)
+    transitions leaving D(mu) have vanishing numerators.  Violations are
+    collected, not thrown.
     """
     n = w.n
     ren = RenormalizedAction(w, u_exponent)
@@ -401,7 +383,7 @@ def build_Vmu_block(w: LevelWeight, deg, window: int = 2,
                                 {"kind": kind, "source": p.to_json(),
                                  "target": tgt.to_json(), "node": node,
                                  "column": j})
-                        else:
+                        elif with_matrices:
                             for r in range(-window, window + 1):
                                 matrices.append({
                                     "kind": kind, "mode": r, "node": node,
@@ -442,7 +424,8 @@ def closure_report(w: LevelWeight, max_total: int = 2, window: int = 2,
     )
     blocks = []
     for deg in degrees:
-        block = build_Vmu_block(w, deg, window, u_exponent)
+        block = build_Vmu_block(w, deg, window, u_exponent,
+                                with_matrices=False)
         block.pop("matrices")
         block.pop("basis")
         blocks.append(block)

@@ -18,17 +18,13 @@ from __future__ import annotations
 
 from collections import Counter
 
-from .exact import LaurentContext, LaurentExpr
+from .exact import FactoredExpr, LaurentContext
 from .finite_action import ActionError
-from .patterns import AffinePattern
+from .patterns import AffinePattern, ceil_div
 
 
 class CharacterError(ValueError):
     pass
-
-
-def _ceil_div(a: int, b: int) -> int:
-    return -((-a) // b)
 
 
 class WeightMultiset:
@@ -54,17 +50,11 @@ class WeightMultiset:
     def size(self) -> int:
         return sum(self.weights.values())
 
-    def euler_product(self) -> LaurentExpr:
+    def euler_product(self) -> FactoredExpr:
         """prod (1 - w)^mult over the multiset."""
         out = self.ctx.one
         for w, mult in self.weights.items():
             out = out * (1 - w) ** mult
-        return out
-
-    def weight_product(self) -> LaurentExpr:
-        out = self.ctx.one
-        for w, mult in self.weights.items():
-            out = out * w ** mult
         return out
 
     def sorted_items(self):
@@ -89,17 +79,17 @@ class TangentOracle:
 
     # -- building blocks -----------------------------------------------------
 
-    def _mono(self, l: int, lp: int, vexp: int) -> LaurentExpr:
+    def _mono(self, l: int, lp: int, vexp: int) -> FactoredExpr:
         """t_l^2 t_{l'}^{-2} u^{2(ceil(l/n)-ceil(l'/n))} v^{vexp}."""
         ctx = self.ctx
         return (
             ctx.t_res(l) ** 2
             * ctx.t_res(lp) ** -2
-            * ctx.u ** (2 * (_ceil_div(l, self.n) - _ceil_div(lp, self.n)))
+            * ctx.u ** (2 * (ceil_div(l, self.n) - ceil_div(lp, self.n)))
             * ctx.v ** vexp
         )
 
-    def _add_geom_pair(self, acc: Counter, base: LaurentExpr, a: int, b: int,
+    def _add_geom_pair(self, acc: Counter, base: FactoredExpr, a: int, b: int,
                        sign: int):
         """Add sign * base * v^2 * (v^{2a}-1)(v^{-2b}-1)/(v^2-1), expanded.
 
@@ -220,12 +210,12 @@ class TangentOracle:
 
     # -- renormalization and the oracle ---------------------------------------
 
-    def c_norm(self, p: AffinePattern) -> LaurentExpr:
+    def c_norm(self, p: AffinePattern) -> FactoredExpr:
         """Renormalization constant: Euler product over the space character."""
         return self.tangent_character_space(p).euler_product()
 
     def bott_coefficient(self, kind: str, src: AffinePattern, i: int, j: int,
-                         r: int) -> LaurentExpr:
+                         r: int) -> FactoredExpr:
         """Matrix coefficient recomputed from tangent characters alone.
 
         For kind "f" the transition is src -> src+box at (i, j); for kind
@@ -246,7 +236,7 @@ class TangentOracle:
             ) * (
                 ctx.t_res(j) ** 2
                 * v ** (-2 * small.d(i, j))
-                * u ** (2 * _ceil_div(j, self.n))
+                * u ** (2 * ceil_div(j, self.n))
                 * v ** i
             ) ** r
         elif kind == "f":
@@ -257,7 +247,7 @@ class TangentOracle:
             w = (
                 ctx.t_res(j) ** 2
                 * v ** (-2 * big.d(i, j) + 2)
-                * u ** (2 * _ceil_div(j, self.n))
+                * u ** (2 * ceil_div(j, self.n))
             )
             pref = (
                 -(ctx.t_res(i) ** -1)

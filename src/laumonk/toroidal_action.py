@@ -17,34 +17,12 @@ by -n multiplies the mode-r coefficient by exactly (v^n u^2)^{-r}).
 
 from __future__ import annotations
 
-from collections import Counter
+from math import prod
 
-from .exact import AT_INFINITY, AT_ZERO, LaurentContext, LaurentExpr, expand_series
+from .exact import AT_INFINITY, AT_ZERO, FactoredExpr, LaurentContext, \
+    series_coefficient
 from .finite_action import ActionError, Transition
-from .patterns import AffinePattern, p_weight
-
-
-def _cancelled_ratio(one, num_factors, den_factors):
-    """prod(num)/prod(den) with syntactically equal factors cancelled first.
-
-    The telescoped products pair equal factors below the support; cancelling
-    them by hashing keeps deep-cutoff recomputations cheap and exact."""
-    num = Counter(num_factors)
-    den = Counter(den_factors)
-    common = num & den
-    num -= common
-    den -= common
-    top = one
-    for f, k in num.items():
-        top = top * f ** k
-    bot = one
-    for f, k in den.items():
-        bot = bot * f ** k
-    return top / bot
-
-
-def _ceil_div(a: int, b: int) -> int:
-    return -((-a) // b)
+from .patterns import AffinePattern, ceil_div, p_weight
 
 
 class ToroidalAction:
@@ -61,10 +39,8 @@ class ToroidalAction:
 
     # -- weights and bookkeeping -------------------------------------------
 
-    def p(self, pat: AffinePattern, i: int, j: int) -> LaurentExpr:
+    def p(self, pat: AffinePattern, i: int, j: int) -> FactoredExpr:
         return p_weight(self.ctx, pat, i, j)
-
-
 
     def _default_cutoff(self, pat: AffinePattern, rows, bound: int) -> int:
         """Largest admissible telescoping cutoff: below the involved rows'
@@ -98,7 +74,7 @@ class ToroidalAction:
             for k in range(cut + 1, i + 1)
             if k != j
         ]
-        return pref * _cancelled_ratio(self.ctx.one, num, den)
+        return prod(num, start=pref) / prod(den, start=self.ctx.one)
 
     def e_base_coeff(self, src: AffinePattern, i: int, j: int, cutoff=None):
         """r=0 e-coefficient at node index i (any integer), column j <= i."""
@@ -122,12 +98,12 @@ class ToroidalAction:
             for k in range(cut + 1, i + 1)
             if k != j
         ]
-        return pref * _cancelled_ratio(self.ctx.one, num, den)
+        return prod(num, start=pref) / prod(den, start=self.ctx.one)
 
-    def f_beta(self, src: AffinePattern, i: int, j: int) -> LaurentExpr:
+    def f_beta(self, src: AffinePattern, i: int, j: int) -> FactoredExpr:
         return self.p(src, i, j) * self.ctx.v ** i
 
-    def e_beta(self, src: AffinePattern, i: int, j: int) -> LaurentExpr:
+    def e_beta(self, src: AffinePattern, i: int, j: int) -> FactoredExpr:
         return self.p(src, i, j) * self.ctx.v ** (i + 2)
 
     def f_mode_coeff(self, src, i, j, r, cutoff=None):
@@ -166,7 +142,7 @@ class ToroidalAction:
 
     # -- diagonal series -----------------------------------------------------
 
-    def psi_eigenvalue(self, p: AffinePattern, i: int, cutoff=None) -> LaurentExpr:
+    def psi_eigenvalue(self, p: AffinePattern, i: int, cutoff=None) -> FactoredExpr:
         """Telescoped psi eigenvalue at node representative i in 1..n."""
         if not (1 <= i <= self.n):
             raise ActionError("node representative out of range")
@@ -200,28 +176,28 @@ class ToroidalAction:
             pij = self.p(p, i, j)
             den.append(1 - z ** -1 * v ** (i + 2) * pij)
             den.append(1 - z ** -1 * v ** i * pij)
-        out = pref * _cancelled_ratio(ctx.one, num, den)
+        out = prod(num, start=pref) / prod(den, start=ctx.one)
         if cutoff is None:
             self._psi_cache[key] = out
         return out
 
-    def psi_hat_eigenvalue(self, p: AffinePattern) -> LaurentExpr:
+    def psi_hat_eigenvalue(self, p: AffinePattern) -> FactoredExpr:
         """Node-0 series: psi_n evaluated at z v^n u^2."""
         return self.psi_eigenvalue(p, self.n).scale_z(self.hat_scale)
 
-    def psi_mode(self, p: AffinePattern, i: int, m: int, sign: str) -> LaurentExpr:
+    def psi_mode(self, p: AffinePattern, i: int, m: int, sign: str) -> FactoredExpr:
         if sign not in ("+", "-"):
             raise ActionError("sign must be '+' or '-'")
         if (sign == "+" and m < 0) or (sign == "-" and m > 0):
             return self.ctx.zero
         psi = self.psi_eigenvalue(p, i)
         if sign == "+":
-            return expand_series(psi, AT_INFINITY, m).coefficient(m)
-        return expand_series(psi, AT_ZERO, -m).coefficient(-m)
+            return series_coefficient(psi, AT_INFINITY, m)
+        return series_coefficient(psi, AT_ZERO, -m)
 
     def b_quotient_eigenvalue(
-        self, p: AffinePattern, m: int, i: int, scale: LaurentExpr, cutoff=None
-    ) -> LaurentExpr:
+        self, p: AffinePattern, m: int, i: int, scale: FactoredExpr, cutoff=None
+    ) -> FactoredExpr:
         """Telescoped eigenvalue of the quotient series for rows m <= i at z*scale."""
         if m > i:
             raise ActionError("need m <= i")
@@ -236,9 +212,9 @@ class ToroidalAction:
             cut = cutoff
         num = [1 - zs ** -1 * self.p(p, i, j) for j in range(cut + 1, i + 1)]
         den = [1 - zs ** -1 * self.p(p, m, j) for j in range(cut + 1, m + 1)]
-        return _cancelled_ratio(ctx.one, num, den)
+        return prod(num, start=ctx.one) / prod(den, start=ctx.one)
 
-    def psi_via_quotients(self, p: AffinePattern, i: int, m: int) -> LaurentExpr:
+    def psi_via_quotients(self, p: AffinePattern, i: int, m: int) -> FactoredExpr:
         """psi eigenvalue assembled from the four m-relative quotient series."""
         if m >= i:
             raise ActionError("need m < i")
@@ -257,12 +233,12 @@ class ToroidalAction:
 
     # -- hat shift and node translation ---------------------------------------
 
-    def hat_mode_factor(self, r: int) -> LaurentExpr:
+    def hat_mode_factor(self, r: int) -> FactoredExpr:
         """Factor (v^n u^2)^{-r} turning a node-n mode into its shifted version."""
         return self.hat_scale ** (-r)
 
     def node_shift_coeff(self, kind: str, src: AffinePattern, node: int,
-                         j: int, r: int) -> LaurentExpr:
+                         j: int, r: int) -> FactoredExpr:
         """Mode-r coefficient with the formulas extended to any integer node.
 
         The implicit t-prefactor is extended per kind so that shifting the
@@ -273,14 +249,14 @@ class ToroidalAction:
         beta-shift and product reindexing that the boundary relations use.)
         """
         if kind == "f":
-            ext = self.hat_scale ** -(_ceil_div(node, self.n) - 1)
+            ext = self.hat_scale ** -(ceil_div(node, self.n) - 1)
             return (
                 ext
                 * self.f_base_coeff(src, node, j)
                 * self.f_beta(src, node, j) ** r
             )
         if kind == "e":
-            ext = self.ctx.v ** (self.n * (_ceil_div(node + 1, self.n) - 1))
+            ext = self.ctx.v ** (self.n * (ceil_div(node + 1, self.n) - 1))
             return (
                 ext
                 * self.e_base_coeff(src, node, j)
@@ -290,7 +266,7 @@ class ToroidalAction:
 
     # -- Chevalley generators ---------------------------------------------------
 
-    def chevalley_k(self, p: AffinePattern, i: int) -> LaurentExpr:
+    def chevalley_k(self, p: AffinePattern, i: int) -> FactoredExpr:
         """Cartan eigenvalue at node i in 0..n-1 (with the u-twist at i=0)."""
         if not (0 <= i <= self.n - 1):
             raise ActionError("Chevalley node out of range 0..n-1")
@@ -345,8 +321,6 @@ class ToroidalAction:
             }
             for tgt, coeff in self.chevalley_transitions(p, 0, kind):
                 ratios[kind].add((coeff / plain[tgt]).to_string())
-        psi0 = expand_series(
-            self.psi_hat_eigenvalue(p), AT_INFINITY, 0
-        ).coefficient(0)
+        psi0 = series_coefficient(self.psi_hat_eigenvalue(p), AT_INFINITY, 0)
         ratios["k"].add((self.chevalley_k(p, 0) / psi0).to_string())
         return {k: sorted(v) for k, v in ratios.items()}

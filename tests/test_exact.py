@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from sympy.polys.domains import QQ
 
 from laumonk.exact import (
     AT_INFINITY,
@@ -10,6 +11,8 @@ from laumonk.exact import (
     EvaluationError,
     LaurentContext,
     NotExpandable,
+    _cancel,
+    _cancel_modular,
     arith,
     expand_series,
     expr_from_string,
@@ -164,3 +167,46 @@ def test_contexts_do_not_mix():
     b = LaurentContext(3).v
     with pytest.raises(Exception):
         a + b  # noqa: B018
+
+
+def test_import_leaves_sympy_gcd_alone():
+    import laumonk.cli  # noqa: F401  (imports every module)
+    from sympy.polys.rings import PolyElement
+
+    gcd_zz = PolyElement.__dict__["_gcd_ZZ"]
+    assert gcd_zz.__module__ == "sympy.polys.rings"
+    assert gcd_zz.__qualname__ == "PolyElement._gcd_ZZ"
+
+
+def _cancel_samples(ctx):
+    R = ctx.ring
+    x, y, _, _, v, z = R.gens
+    half = R.ground_new(QQ(1, 2))
+    return [
+        ((x ** 2 - y ** 2) * (v + 3), (x - y) * (2 * v - 1)),
+        (6 * x * y ** 2 * (1 - v * z), -4 * x ** 3 * (1 - v * z) ** 2),
+        (half * (x + y) ** 3, (x + y) * (x - 2 * y) * 3),
+        (R.zero, x + 1),
+        (x * v + 7, half),
+    ]
+
+
+def test_cancel_modular_matches_cancel():
+    ctx = LaurentContext(3)
+    for num, den in _cancel_samples(ctx):
+        assert _cancel_modular(num, den) == num.cancel(den)
+
+
+def test_cancel_falls_back_when_the_heuristic_gcd_fails(monkeypatch):
+    from sympy.polys.polyerrors import HeuristicGCDFailed
+    from sympy.polys.rings import PolyElement
+
+    ctx = LaurentContext(3)
+    samples = _cancel_samples(ctx)
+    want = [num.cancel(den) for num, den in samples]
+
+    def fail(f, g):
+        raise HeuristicGCDFailed("no luck")
+
+    monkeypatch.setattr(PolyElement, "_gcd_ZZ", fail)
+    assert [_cancel(num, den) for num, den in samples] == want

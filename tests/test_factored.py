@@ -1,0 +1,210 @@
+"""FactoredExpr against the reduced field.
+
+Every generated expression is built twice, once in FactoredExpr and once in
+LaurentExpr (sympy's reduced field, each operation reduced on the spot), and
+the two must agree on the reduced form, the zero test, exact evaluation, the
+text round trip and hashing.
+"""
+
+from fractions import Fraction
+
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+
+from laumonk.exact import (
+    AT_INFINITY,
+    AT_ZERO,
+    EvalPoint,
+    EvaluationError,
+    FactoredExpr,
+    LaurentContext,
+    LaurentExpr,
+    NotExpandable,
+    expand_series,
+    expr_from_string,
+    series_coefficient,
+)
+
+CTX = LaurentContext(2)
+# reference generators in the reduced field, same order as CTX.var_names
+REF = [LaurentExpr(CTX, g) for g in CTX.field.gens]
+FAC = list(CTX.t) + [CTX.u, CTX.v, CTX.z]
+REF_ONE = LaurentExpr(CTX, CTX.field.one)
+
+SETTINGS = settings(max_examples=80, deadline=None, derandomize=True,
+                    database=None,
+                    suppress_health_check=[HealthCheck.too_slow])
+
+coefficients = st.sampled_from([1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3)])
+# exponents of (t1, t2, v); u and z stay out of most leaves to keep the
+# polynomials small, and one leaf kind brings z in
+exponents = st.tuples(*[st.integers(-2, 2)] * 3)
+
+
+def _monomial(c, exps, z=0):
+    f, r = CTX.rational(c), REF_ONE * c
+    for i, e in zip((0, 1, 3, 4), exps + (z,)):
+        f, r = f * FAC[i] ** e, r * REF[i] ** e
+    return f, r
+
+
+@st.composite
+def leaves(draw):
+    c, exps = draw(coefficients), draw(exponents)
+    kind = draw(st.sampled_from(["monomial", "factor", "z-factor"]))
+    if kind == "monomial":
+        return _monomial(c, exps)
+    f, r = _monomial(c, exps, z=-1 if kind == "z-factor" else 0)
+    if kind == "factor" and not exps[0] and not exps[1] and not exps[2]:
+        return f, r
+    return 1 - f, 1 - r
+
+
+def _combine(a, b, op):
+    (fa, ra), (fb, rb) = a, b
+    if op == "+":
+        return fa + fb, ra + rb
+    if op == "-":
+        return fa - fb, ra - rb
+    if op == "*" or rb.is_zero:
+        return fa * fb, ra * rb
+    return fa / fb, ra / rb
+
+
+pairs = st.recursive(
+    leaves(),
+    lambda children: st.builds(_combine, children, children,
+                               st.sampled_from("+-*/")),
+    max_leaves=7,
+)
+
+points = st.fixed_dictionaries({
+    name: st.builds(Fraction, st.integers(-9, 9).filter(bool),
+                    st.integers(1, 9))
+    for name in CTX.var_names
+})
+
+
+@SETTINGS
+@given(pairs)
+def test_reduce_and_zero_test_match_the_field(pair):
+    f, r = pair
+    assert f.reduce() == r
+    assert f.is_zero == r.is_zero
+    assert f.to_string() == r.to_string()
+
+
+@SETTINGS
+@given(pairs, pairs)
+def test_products_and_sums_match_the_field(a, b):
+    (fa, ra), (fb, rb) = a, b
+    assert (fa * fb).reduce() == ra * rb
+    assert (fa + fb).reduce() == ra + rb
+    assert ((fa - fb) == 0) == (ra == rb)
+    if not rb.is_zero:
+        assert (fa / fb).reduce() == ra / rb
+
+
+@SETTINGS
+@given(pairs)
+def test_round_trip_and_hash(pair):
+    f, r = pair
+    back = expr_from_string(CTX, f.to_string())
+    assert back == r and f == back
+    other = FactoredExpr.from_laurent(r)
+    assert f == other
+    assert hash(f) == hash(other) == hash(r)
+
+
+@SETTINGS
+@given(pairs, points)
+def test_evaluate_matches_the_field(pair, point):
+    f, r = pair
+    try:
+        want = r.evaluate(point)
+    except EvaluationError:
+        # a vanishing reduced denominator vanishes an unreduced one too
+        try:
+            f.evaluate(point)
+        except EvaluationError:
+            return
+        raise AssertionError("factored evaluation missed a pole")
+    try:
+        got = f.evaluate(EvalPoint(CTX, point))
+    except EvaluationError:
+        return  # an unreduced factor vanished: the caller resamples
+    assert got == want
+
+
+@SETTINGS
+@given(pairs, exponents, points)
+def test_scale_z_is_substitution(pair, exps, point):
+    f, _ = pair
+    scale, _ = _monomial(1, exps)
+    shifted = dict(point, z=point["z"] * scale.evaluate(point))
+    try:
+        want = f.evaluate(shifted)
+        got = f.scale_z(scale).evaluate(point)
+    except EvaluationError:
+        assume(False)
+    assert got == want
+
+
+@SETTINGS
+@given(pairs, st.sampled_from([AT_INFINITY, AT_ZERO]), st.integers(0, 3))
+def test_series_coefficient_matches_expand_series(pair, direction, r):
+    f, ref = pair
+    try:
+        want = expand_series(ref, direction, r).coefficient(r)
+    except NotExpandable:
+        assume(False)
+    assert series_coefficient(f, direction, r) == want
+
+
+def test_factors_differing_by_a_unit_cancel():
+    # 1 - m and 1 - m^{-1} are one normalized factor, so this sum is zero
+    for m in (CTX.v ** 2, CTX.t[0] ** 2 * CTX.t[1] ** -2 * CTX.v,
+              -3 * CTX.t[1] * CTX.u):
+        total = 1 / (1 - m) + 1 / (1 - m ** -1) - 1
+        assert total.is_zero
+        assert total == 0
+
+
+def test_common_denominator_need_not_be_least():
+    # (1 - m^2) and (1 - m)(1 + m) are different factors of equal value
+    m = CTX.t[0] * CTX.v ** -1
+    sq = 1 - m ** 2
+    split = (1 - m) * (1 + m)
+    assert (1 / sq - 1 / split).is_zero
+    nonzero = 1 / sq + 1 / split
+    assert not nonzero.is_zero
+    mr = REF[0] * REF[3] ** -1
+    assert nonzero.reduce() == 2 / (1 - mr ** 2)
+    assert nonzero.to_string() == (2 / (1 - mr ** 2)).to_string()
+
+
+def test_factor_table_under_concurrent_interning():
+    # threads sharing one context intern overlapping sets of new factors;
+    # every id must still name its own polynomial
+    import sys
+    from concurrent.futures import ThreadPoolExecutor
+
+    ctx = LaurentContext(7)
+
+    def intern(offset):
+        return [ctx._factor_id(((-k, -1), (0, 1)))
+                for k in range(offset, offset + 3000)]
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(intern, 1 + 1000 * (k % 4))
+                       for k in range(16)]
+            ids = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(old)
+    assert len(ctx._factor_polys) == len(ctx._factor_ids)
+    for key, fid in ctx._factor_ids.items():
+        assert ctx._factor_polys[fid] == dict(key)
+    assert ids[0] == ids[4] and ids[1][1000:] == ids[2][:2000]

@@ -6,6 +6,9 @@ from laumonk.patterns import enumerate_finite, neighbors
 from laumonk.relations import (
     AffineModel,
     FiniteModel,
+    RelationId,
+    _Resample,
+    _run,
     negative_controls,
     verify_commutator,
     verify_gl_zero_modes,
@@ -178,3 +181,21 @@ def test_toroidal_boundary_families(am3):
     # the shift is necessary
     assert not verify_psi_x(am3, 1, 3, "f", max_degree=1, boundary="psi_hat",
                             mutate="unshifted").passed
+
+
+def test_resample_exhaustion_is_an_error_report(fm2):
+    # a family whose every sample point hits a vanishing denominator is
+    # reported with status "error", not thrown
+    calls = []
+
+    def body(ev):
+        calls.append(ev.points)
+        raise _Resample(0)
+
+    rep = _run(fm2, RelationId("always_resamples"), {"n": 2}, "random",
+               0, 3, body)
+    assert rep.status == "error" and not rep.passed
+    assert rep.entries_checked == 0 and rep.counterexample is None
+    assert rep.to_json()["error"]
+    assert len(calls) == 13
+    assert len({str(points) for points in calls}) == 13  # fresh points each time
