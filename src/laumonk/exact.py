@@ -160,8 +160,8 @@ class LaurentContext:
 
     The generators t, u, v, z and the constants are `FactoredExpr` values.
     The context also owns the table of normalized factors (interned by
-    syntax) and their cached powers and sympy forms; these grow with the
-    distinct factors a computation meets and live as long as the context.
+    syntax) and their cached powers; these grow with the distinct factors a
+    computation meets and live as long as the context.
     """
 
     _cache: dict = {}
@@ -183,7 +183,6 @@ class LaurentContext:
         self._factor_ids = {}
         self._factor_polys = []
         self._factor_pows = {}
-        self._factor_sympy = {}
         var = [FactoredExpr(self, ((1, 1 << (_BITS * i), ()),))
                for i in range(len(names))]
         self.t = tuple(var[:n])
@@ -237,16 +236,13 @@ class LaurentContext:
 
     def _factor_ring(self, fid: int):
         """(shift, P) with factor = x^shift * P and P a sympy polynomial."""
-        hit = self._factor_sympy.get(fid)
-        if hit is None:
-            poly = self._factor_polys[fid]
-            exps = {k: _unpack(k, self.nvars) for k in poly}
-            shift = [min(col) for col in zip(*exps.values())]
-            P = self.ring.from_dict({
-                tuple(x - s for x, s in zip(ex, shift)): QQ(poly[k])
-                for k, ex in exps.items()})
-            hit = self._factor_sympy[fid] = (shift, P)
-        return hit
+        poly = self._factor_polys[fid]
+        exps = {k: _unpack(k, self.nvars) for k in poly}
+        shift = [min(col) for col in zip(*exps.values())]
+        P = self.ring.from_dict({
+            tuple(x - s for x, s in zip(ex, shift)): QQ(poly[k])
+            for k, ex in exps.items()})
+        return shift, P
 
     def _poly_term(self, poly: dict):
         """(coeff, mono, factors) of a nonzero polynomial {packed: rational}."""
@@ -508,8 +504,7 @@ class FactoredExpr:
         if e == 0:
             return self.ctx.one
         c, m, fac = a
-        if abs(e) > 1 and m and max(map(abs, _unpack(m, self.ctx.nvars))) * abs(e) \
-                >= _MAX_POWER_EXP:
+        if max(map(abs, _unpack(m, self.ctx.nvars))) * abs(e) >= _MAX_POWER_EXP:
             raise ExactError("monomial exponent out of range")
         return FactoredExpr(self.ctx, ((_qpow(c, e), m * e,
                                         tuple((f, k * e) for f, k in fac)),))

@@ -332,7 +332,7 @@ def _run(model, rel, scope, strategy, seed, trials, body):
         return VerificationReport(rel, scope, status, entries, counterexample)
     return VerificationReport(
         rel, scope, "error", 0,
-        error="every sample point of %d attempts vanished a denominator"
+        error="each of %d sets of sample points vanished a denominator"
         % _ATTEMPTS)
 
 
