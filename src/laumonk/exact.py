@@ -534,7 +534,8 @@ class FactoredExpr:
     def __eq__(self, other):
         if other is self:
             return True
-        if isinstance(other, (FactoredExpr, LaurentExpr)) and other.ctx is not self.ctx:
+        if isinstance(other, (FactoredExpr, LaurentExpr)) \
+                and other.ctx is not self.ctx:
             return False
         o = self._coerce(other)
         if o is NotImplemented:

@@ -347,22 +347,14 @@ class RenormalizedAction:
         return out
 
 
-def build_Vmu_block(w: LevelWeight, deg, window: int = 2,
-                    u_exponent: int = None, with_matrices: bool = True) -> dict:
-    """Basis and closure data of one graded block of the candidate module.
-
-    Returns the D(mu)-basis of the degree block, the specialized matrices of
-    all raising/lowering modes in the window (an empty list when
-    with_matrices is false), and the closure report: (a) transitions staying
-    inside D(mu) have nonvanishing denominators (well defined values), (b)
-    transitions leaving D(mu) have vanishing numerators.  Violations are
-    collected, not thrown.
-    """
+def _closure_block(w: LevelWeight, ren: RenormalizedAction, deg):
+    """Basis and closure data of one graded block, and the moves that stay
+    inside D(mu) with well-defined values: (kind, source, node, column,
+    target) each."""
     n = w.n
-    ren = RenormalizedAction(w, u_exponent)
     patterns = enumerate_affine(n, deg)
     basis = [p for p in patterns if in_D_mu(p, w)]
-    matrices = []
+    defined = []
     violations_a = []
     violations_b = []
     inside = boundary = 0
@@ -383,15 +375,8 @@ def build_Vmu_block(w: LevelWeight, deg, window: int = 2,
                                 {"kind": kind, "source": p.to_json(),
                                  "target": tgt.to_json(), "node": node,
                                  "column": j})
-                        elif with_matrices:
-                            for r in range(-window, window + 1):
-                                matrices.append({
-                                    "kind": kind, "mode": r, "node": node,
-                                    "source": p.to_json(),
-                                    "target": tgt.to_json(),
-                                    "value": ren.coefficient(
-                                        kind, p, node, j, r).value().to_string(),
-                                })
+                        else:
+                            defined.append((kind, p, node, j, tgt))
                     else:
                         boundary += 1
                         if not coeff.numerator_vanishes:
@@ -399,7 +384,7 @@ def build_Vmu_block(w: LevelWeight, deg, window: int = 2,
                                 {"kind": kind, "source": p.to_json(),
                                  "target": tgt.to_json(), "node": node,
                                  "column": j})
-    return {
+    block = {
         "degree": list(deg),
         "basis_size": len(basis),
         "basis": [p.to_json() for p in basis],
@@ -408,8 +393,30 @@ def build_Vmu_block(w: LevelWeight, deg, window: int = 2,
         "violations_nonvanishing": violations_a,
         "violations_vanishing": violations_b,
         "closure": not violations_a and not violations_b,
-        "matrices": matrices,
     }
+    return block, defined
+
+
+def build_Vmu_block(w: LevelWeight, deg, window: int = 2,
+                    u_exponent: int = None) -> dict:
+    """Basis and closure data of one graded block of the candidate module.
+
+    Returns the D(mu)-basis of the degree block, the specialized matrices of
+    all raising/lowering modes in the window, and the closure report: (a)
+    transitions staying inside D(mu) have nonvanishing denominators (well
+    defined values), (b) transitions leaving D(mu) have vanishing numerators.
+    Violations are collected, not thrown.
+    """
+    ren = RenormalizedAction(w, u_exponent)
+    block, defined = _closure_block(w, ren, deg)
+    block["matrices"] = [
+        {"kind": kind, "mode": r, "node": node, "source": p.to_json(),
+         "target": tgt.to_json(),
+         "value": ren.coefficient(kind, p, node, j, r).value().to_string()}
+        for kind, p, node, j, tgt in defined
+        for r in range(-window, window + 1)
+    ]
+    return block
 
 
 def closure_report(w: LevelWeight, max_total: int = 2, window: int = 2,
@@ -422,11 +429,10 @@ def closure_report(w: LevelWeight, max_total: int = 2, window: int = 2,
         {p.degree() for total in range(max_total + 1)
          for p in enumerate_affine_total(n, total)}
     )
+    ren = RenormalizedAction(w, u_exponent)
     blocks = []
     for deg in degrees:
-        block = build_Vmu_block(w, deg, window, u_exponent,
-                                with_matrices=False)
-        block.pop("matrices")
+        block, _ = _closure_block(w, ren, deg)
         block.pop("basis")
         blocks.append(block)
     return {

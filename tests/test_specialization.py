@@ -182,3 +182,18 @@ def test_dimension_growth_under_level_reported():
         rep = closure_report(w, max_total=2, window=1)
         sizes[K] = [b["basis_size"] for b in rep["blocks"]]
     assert all(a <= b for a, b in zip(sizes[1], sizes[2]))
+
+
+def test_block_matrices_match_generic_specialization():
+    # the matrix values of a block are the specialized renormalized
+    # coefficients; at the vacuum every move adds the box at column = node
+    w = LevelWeight(3, 1, (0, 0, 0))
+    ren = RenormalizedAction(w)
+    block = build_Vmu_block(w, (0, 0, 0), window=1)
+    assert len(block["matrices"]) == 3 * block["inside_transitions"] > 0
+    for entry in block["matrices"]:
+        src = AffinePattern.from_json(entry["source"])
+        node = entry["node"]
+        sym = ren.symbolic_coefficient(entry["kind"], src, node, node,
+                                       entry["mode"])
+        assert entry["value"] == specialize(sym, w).to_string()
