@@ -1,9 +1,11 @@
 """Golden report digests: every benchmark-scope command must keep writing
 byte-identical reports.
 
-The commands and sha256 digests are those listed under "Report digests" in
-perfbench/README.md. A digest that moves means a verdict, an entry count or a
-serialized value changed. Every verify command also runs with one and with
+The first commands and sha256 digests are those listed under "Report
+digests" in perfbench/README.md; the random-strategy controls, toroidal and
+glzero runs and the random loop acceptance scope follow. A digest that moves
+means a verdict, an entry count or a serialized value changed (the failing
+random controls pin the residual strings of the random strategy). Every verify command also runs with one and with
 two workers, and both runs must give the same bytes.
 """
 
@@ -31,6 +33,22 @@ VERIFY = {
     "oracle": (
         ["verify", "--suite", "oracle", "-n", "3", "-D", "2"],
         "b24232f34cb1de8af6cf16b7cb91af92cefc89d3349df59939c6c3afdf282b7f"),
+    "controls-random": (
+        ["verify", "--suite", "controls", "-n", "3", "-D", "1",
+         "--strategy", "random", "--seed", "7", "--trials", "5"],
+        "daae98ff3c03622fd4d0e3295134cde0982fd4404008c7155baef82667354680"),
+    "toroidal-random": (
+        ["verify", "--suite", "toroidal", "-n", "3", "-D", "1", "-R", "1",
+         "--strategy", "random", "--seed", "7", "--trials", "5"],
+        "ca2cd5662098596afb15e3e08b962e96157eb0607223fb1e27a452d92a82eca9"),
+    "glzero-random": (
+        ["verify", "--suite", "glzero", "-n", "4", "-D", "2",
+         "--strategy", "random", "--seed", "11", "--trials", "3"],
+        "b0283f40ba403570da75878f3193ebedaf0ee312ea563917dc7f8e8fb1754d04"),
+    "loop-random-acceptance": (
+        ["verify", "--suite", "loop", "-n", "3", "-D", "3", "-R", "2",
+         "--strategy", "random", "--seed", "7", "--trials", "5"],
+        "9dbbabdc6672a945381c15318da366b12e7f517ab44700030558e5d787c8cbef"),
 }
 
 OTHER = {
