@@ -15,7 +15,9 @@ with the variables ordered (t_1..t_n, u, v, z).  Values come in two types:
   `is_zero` brings the terms over a common denominator (the largest
   denominator exponent per factor), adds the numerators and tests the sum;
   the denominator need not be least, only nonzero, so the test is exact.
-  `evaluate` works at exact rational points from per-point caches.
+  `evaluate` works at exact rational points from per-point caches;
+  `evaluate_pair` gives the same value as an unreduced integer
+  numerator/denominator pair, with no gcd.
 * `LaurentExpr`, the canonical form: a reduced numerator/denominator pair
   of sympy sparse polynomials under graded-lexicographic order, denominator
   sign-normalized, so equality of values is equality of representations.
@@ -572,6 +574,14 @@ class FactoredExpr:
         denominator factor vanishes at the point, even where it would cancel
         in the reduced form.
         """
+        return Fraction(*self.evaluate_pair(point))
+
+    def evaluate_pair(self, point):
+        """The value of `evaluate` as an unreduced integer pair (num, den).
+
+        No gcd runs; den is nonzero but may be negative.  Takes the same
+        points and raises the same errors as `evaluate`.
+        """
         if not isinstance(point, EvalPoint):
             point = EvalPoint(self.ctx, point)
         elif point.ctx is not self.ctx:
@@ -593,7 +603,7 @@ class FactoredExpr:
                 else:
                     tn, td = tn * fd ** -e, td * fn ** -e
             num, den = num * td + tn * den, den * td
-        return Fraction(num, den)
+        return num, den
 
     def scale_z(self, factor) -> "FactoredExpr":
         """Substitute z -> factor*z for a z-free monomial `factor`."""

@@ -185,53 +185,99 @@ class _Resample(Exception):
 
 
 class RVec:
-    """Tuple of exact rational values of an expression at the sample points."""
+    """Exact rational values of an expression at the sample points.
 
-    __slots__ = ("vals",)
+    Parallel lists of unreduced integer numerators and denominators, one
+    pair per point.  Arithmetic with another RVec or with an int multiplies
+    and adds integers and never runs a gcd.  A denominator is never zero:
+    inverting a value that vanishes at some point raises ZeroDivisionError,
+    as Fraction does.  So a value is zero exactly when every numerator is,
+    and only `payload` reduces, for the emitted text.  The lists are never
+    mutated, so values share them.
+    """
 
-    def __init__(self, vals):
-        self.vals = tuple(vals)
+    __slots__ = ("nums", "dens")
 
-    def _lift(self, other, op):
-        if isinstance(other, RVec):
-            return RVec(op(a, b) for a, b in zip(self.vals, other.vals))
-        return RVec(op(a, other) for a in self.vals)
+    def __init__(self, nums, dens):
+        self.nums = nums
+        self.dens = dens
 
     def __add__(self, other):
-        return self._lift(other, lambda a, b: a + b)
+        if isinstance(other, RVec):
+            return RVec([a * d + b * c for a, c, b, d in
+                         zip(self.nums, self.dens, other.nums, other.dens)],
+                        [c * d for c, d in zip(self.dens, other.dens)])
+        if isinstance(other, int):
+            return RVec([a + other * c for a, c in zip(self.nums, self.dens)],
+                        self.dens)
+        return NotImplemented
 
-    def __radd__(self, other):
-        return self._lift(other, lambda a, b: b + a)
+    __radd__ = __add__
 
     def __sub__(self, other):
-        return self._lift(other, lambda a, b: a - b)
+        if isinstance(other, RVec):
+            return RVec([a * d - b * c for a, c, b, d in
+                         zip(self.nums, self.dens, other.nums, other.dens)],
+                        [c * d for c, d in zip(self.dens, other.dens)])
+        if isinstance(other, int):
+            return RVec([a - other * c for a, c in zip(self.nums, self.dens)],
+                        self.dens)
+        return NotImplemented
 
     def __rsub__(self, other):
-        return self._lift(other, lambda a, b: b - a)
+        if isinstance(other, int):
+            return RVec([other * c - a for a, c in zip(self.nums, self.dens)],
+                        self.dens)
+        return NotImplemented
 
     def __mul__(self, other):
-        return self._lift(other, lambda a, b: a * b)
+        if isinstance(other, RVec):
+            return RVec([a * b for a, b in zip(self.nums, other.nums)],
+                        [c * d for c, d in zip(self.dens, other.dens)])
+        if isinstance(other, int):
+            return RVec([a * other for a in self.nums], self.dens)
+        return NotImplemented
 
     __rmul__ = __mul__
 
+    def _nonvanishing(self):
+        if not all(self.nums):
+            raise ZeroDivisionError("RVec division by a value vanishing at "
+                                    "a sample point")
+
     def __truediv__(self, other):
-        return self._lift(other, lambda a, b: a / b)
+        if isinstance(other, RVec):
+            other._nonvanishing()
+            return RVec([a * d for a, d in zip(self.nums, other.dens)],
+                        [c * b for c, b in zip(self.dens, other.nums)])
+        if isinstance(other, int):
+            if not other:
+                raise ZeroDivisionError("RVec division by zero")
+            return RVec(self.nums, [c * other for c in self.dens])
+        return NotImplemented
 
     def __rtruediv__(self, other):
-        return self._lift(other, lambda a, b: b / a)
+        if isinstance(other, int):
+            self._nonvanishing()
+            return RVec([other * c for c in self.dens], self.nums)
+        return NotImplemented
 
     def __pow__(self, e):
-        return RVec(a ** e for a in self.vals)
+        if e < 0:
+            self._nonvanishing()
+            return RVec([c ** -e for c in self.dens],
+                        [a ** -e for a in self.nums])
+        return RVec([a ** e for a in self.nums], [c ** e for c in self.dens])
 
     def __neg__(self):
-        return RVec(-a for a in self.vals)
+        return RVec([-a for a in self.nums], self.dens)
 
     @property
     def is_zero(self):
-        return all(a == 0 for a in self.vals)
+        return not any(self.nums)
 
     def payload(self):
-        return [str(a) for a in self.vals]
+        return [str(Fraction(a, c)) for a, c in zip(self.nums, self.dens)]
 
 
 class _SymbolicEval:
@@ -257,6 +303,14 @@ class _SymbolicEval:
 
 
 class _RandomEval:
+    """Values at `trials` random rational points, as RVecs.
+
+    `lift` evaluates each expression once per evaluator: the RVec is
+    memoized under the expression's terms, so equal expressions built
+    afresh (psi modes, inverted scales) share it.  The memo lives and dies
+    with the evaluator, and so with its points.
+    """
+
     strategy = RANDOM
 
     def __init__(self, ctx, rng: random.Random, trials: int):
@@ -265,7 +319,8 @@ class _RandomEval:
         self.trials = trials
         self.points = [self._sample_point() for _ in range(trials)]
         self._at = [EvalPoint(ctx, pt) for pt in self.points]
-        self.zero = RVec([Fraction(0)] * trials)
+        self._lifted = {}
+        self.zero = RVec([0] * trials, [1] * trials)
 
     def _sample_point(self):
         # nonzero rationals with numerator/denominator at most 97, pairwise
@@ -284,16 +339,22 @@ class _RandomEval:
         return point
 
     def lift(self, expr: FactoredExpr):
-        vals = []
-        for i, pt in enumerate(self._at):
-            try:
-                vals.append(expr.evaluate(pt))
-            except EvaluationError:
-                raise _Resample(i)
-        return RVec(vals)
+        hit = self._lifted.get(expr.terms)
+        if hit is None:
+            nums, dens = [], []
+            for i, pt in enumerate(self._at):
+                try:
+                    num, den = expr.evaluate_pair(pt)
+                except EvaluationError:
+                    raise _Resample(i)
+                nums.append(num)
+                dens.append(den)
+            hit = self._lifted[expr.terms] = RVec(nums, dens)
+        return hit
 
     def var(self, name: str):
-        return RVec([pt[name] for pt in self.points])
+        return RVec([pt[name].numerator for pt in self.points],
+                    [pt[name].denominator for pt in self.points])
 
     @staticmethod
     def payload(residual):

@@ -8,6 +8,7 @@ text round trip and hashing.
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
@@ -134,6 +135,38 @@ def test_evaluate_matches_the_field(pair, point):
     except EvaluationError:
         return  # an unreduced factor vanished: the caller resamples
     assert got == want
+
+
+@SETTINGS
+@given(pairs, points)
+def test_evaluate_pair_is_the_unreduced_evaluate(pair, point):
+    f, _ = pair
+    at = EvalPoint(CTX, point)
+    try:
+        want = f.evaluate(at)
+    except EvaluationError:
+        try:
+            f.evaluate_pair(at)
+        except EvaluationError:
+            return
+        raise AssertionError("evaluate_pair missed a vanishing factor")
+    num, den = f.evaluate_pair(at)
+    assert type(num) is int and type(den) is int and den
+    assert Fraction(num, den) == want
+    assert f.evaluate_pair(point) == (num, den)
+
+
+def test_evaluate_pair_raises_on_a_vanishing_denominator_factor():
+    pole = CTX.t[0] / (1 - CTX.v * CTX.t[1])
+    point = {"t1": Fraction(2), "t2": Fraction(-1, 3), "u": Fraction(5),
+             "v": Fraction(-3), "z": Fraction(7)}
+    for evaluate in (pole.evaluate, pole.evaluate_pair):
+        for at in (point, EvalPoint(CTX, point)):
+            with pytest.raises(EvaluationError):
+                evaluate(at)
+    # a vanishing numerator factor is a zero value, not an error
+    num, den = (1 / pole).evaluate_pair(point)
+    assert num == 0 and den
 
 
 @SETTINGS
