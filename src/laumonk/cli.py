@@ -107,9 +107,15 @@ def oracle_suite(n: int, max_degree: int = 2, modes=(-1, 0, 1)) -> list:
     counterexample = None
     for p in sources:
         space = oracle.tangent_character_space(p)
-        if space.size() != 2 * sum(p.degree()):
-            counterexample = counterexample or {"source": p.to_json(),
-                                                "size": space.size()}
+        size = 2 * sum(p.degree())
+        if space.size() != size and counterexample is None:
+            counterexample = {
+                "source": p.to_json(),
+                "target": p.to_json(),
+                "modes": ["character size"],
+                "residual": str(space.size() - size),
+                "size": space.size(),
+            }
         for node in range(1, n + 1):
             for kind in ("e", "f"):
                 for tr in action.transitions(kind, node, p):
@@ -117,9 +123,15 @@ def oracle_suite(n: int, max_degree: int = 2, modes=(-1, 0, 1)) -> list:
                         corr = oracle.tangent_character_correspondence(
                             p, node, tr.column)
                         entries += 1
-                        if corr.size() != 2 * sum(p.degree()) + 1:
-                            counterexample = counterexample or {
-                                "source": p.to_json(), "move": tr.column}
+                        if corr.size() != size + 1 and counterexample is None:
+                            counterexample = {
+                                "source": p.to_json(),
+                                "target": tr.target.to_json(),
+                                "modes": [kind, node, tr.column,
+                                          "correspondence size"],
+                                "residual": str(corr.size() - size - 1),
+                                "size": corr.size(),
+                            }
                     for r in modes:
                         entries += 1
                         got = oracle.bott_coefficient(kind, p, node,

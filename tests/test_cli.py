@@ -1,6 +1,11 @@
 import json
 
+import pytest
+
+from laumonk import cli
 from laumonk.cli import main
+from laumonk.patterns import AffinePattern
+from laumonk.tangent import TangentOracle, WeightMultiset
 
 
 def run_cli(args):
@@ -41,6 +46,52 @@ def test_oracle_suite_cli(tmp_path):
     out = tmp_path / "o.json"
     assert run_cli(["verify", "--suite", "oracle", "-n", "3", "-D", "1",
                     "--out", str(out)]) == 0
+
+
+class _OffByOne(WeightMultiset):
+    __slots__ = ()
+
+    def size(self):
+        return super().size() + 1
+
+
+def _off_by_one(chars):
+    bad = _OffByOne.__new__(_OffByOne)
+    bad.ctx, bad.weights = chars.ctx, chars.weights
+    return bad
+
+
+class _WrongSpace(TangentOracle):
+    def tangent_character_space(self, p):
+        return _off_by_one(super().tangent_character_space(p))
+
+
+class _WrongCorrespondence(TangentOracle):
+    def tangent_character_correspondence(self, src, i, j):
+        return _off_by_one(
+            super().tangent_character_correspondence(src, i, j))
+
+
+@pytest.mark.parametrize("oracle, label", [
+    (_WrongSpace, "character size"),
+    (_WrongCorrespondence, "correspondence size"),
+])
+def test_oracle_size_counterexamples_carry_the_standard_keys(
+        monkeypatch, oracle, label):
+    monkeypatch.setattr(cli, "TangentOracle", oracle)
+    (report,) = cli.oracle_suite(3, max_degree=1)
+    assert report.status == "fail"
+    cex = report.counterexample
+    assert set(cex) == {"source", "target", "modes", "residual", "size"}
+    assert cex["modes"][-1] == label
+    assert cex["residual"] == "1"
+    expected = 2 * sum(AffinePattern.from_json(cex["source"]).degree())
+    if label == "correspondence size":
+        expected += 1
+        assert cex["modes"][0] == "f" and cex["target"] != cex["source"]
+    else:
+        assert cex["target"] == cex["source"]
+    assert cex["size"] == expected + 1
 
 
 def test_specialize_cli(tmp_path):
