@@ -107,13 +107,13 @@ def oracle_suite(n: int, max_degree: int = 2, modes=(-1, 0, 1)) -> list:
     counterexample = None
     for p in sources:
         space = oracle.tangent_character_space(p)
-        size = 2 * sum(p.degree())
-        if space.size() != size and counterexample is None:
+        expected = 2 * sum(p.degree())
+        if space.size() != expected and counterexample is None:
             counterexample = {
                 "source": p.to_json(),
                 "target": p.to_json(),
                 "modes": ["character size"],
-                "residual": str(space.size() - size),
+                "residual": str(space.size() - expected),
                 "size": space.size(),
             }
         for node in range(1, n + 1):
@@ -123,13 +123,14 @@ def oracle_suite(n: int, max_degree: int = 2, modes=(-1, 0, 1)) -> list:
                         corr = oracle.tangent_character_correspondence(
                             p, node, tr.column)
                         entries += 1
-                        if corr.size() != size + 1 and counterexample is None:
+                        if (corr.size() != expected + 1
+                                and counterexample is None):
                             counterexample = {
                                 "source": p.to_json(),
                                 "target": tr.target.to_json(),
                                 "modes": [kind, node, tr.column,
                                           "correspondence size"],
-                                "residual": str(corr.size() - size - 1),
+                                "residual": str(corr.size() - expected - 1),
                                 "size": corr.size(),
                             }
                     for r in modes:
