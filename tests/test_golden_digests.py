@@ -3,7 +3,8 @@ byte-identical reports.
 
 The first commands and sha256 digests are those listed under "Report
 digests" in perfbench/README.md; the random-strategy controls, toroidal and
-glzero runs and the random loop acceptance scope follow. A digest that moves
+glzero runs, the random loop acceptance scope and the symbolic loop,
+toroidal and glzero acceptance scopes follow. A digest that moves
 means a verdict, an entry count or a serialized value changed (the failing
 random controls pin the residual strings of the random strategy). Every verify command also runs with one and with
 two workers, and both runs must give the same bytes.
@@ -49,6 +50,16 @@ VERIFY = {
         ["verify", "--suite", "loop", "-n", "3", "-D", "3", "-R", "2",
          "--strategy", "random", "--seed", "7", "--trials", "5"],
         "9dbbabdc6672a945381c15318da366b12e7f517ab44700030558e5d787c8cbef"),
+    "loop-symbolic-acceptance": (
+        ["verify", "--suite", "loop", "-n", "3", "-D", "3", "-R", "2",
+         "--strategy", "symbolic"],
+        "322140b5338388f083649ee72a2b1f2ef32aeba5e2c9adec0b6544c218e98641"),
+    "toroidal-acceptance": (
+        ["verify", "--suite", "toroidal", "-n", "3", "-D", "2", "-R", "2"],
+        "3745bb788d7d6cc68e8132b9365d9ce2a910f05d80b0322b1a5f94a98cbbff57"),
+    "glzero-acceptance": (
+        ["verify", "--suite", "glzero", "-n", "4", "-D", "3"],
+        "81efcb82db803e5307a6f7c017dfaacdcf259a913a3c718f2a99b78d5ea2e3b4"),
 }
 
 OTHER = {

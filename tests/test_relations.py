@@ -1,7 +1,9 @@
+import hashlib
 import json
 
 import pytest
 
+from laumonk.finite_action import FiniteAction
 from laumonk.patterns import enumerate_finite, neighbors
 from laumonk.relations import (
     AffineModel,
@@ -199,3 +201,35 @@ def test_resample_exhaustion_is_an_error_report(fm2):
     assert rep.to_json()["error"]
     assert len(calls) == 13
     assert len({str(points) for points in calls}) == 13  # fresh points each time
+
+
+GL_FAILING_DIGESTS = {
+    "symbolic": "0f99d40995ed92094ebcc938b106e5871b3d77e3847e764b9296b5eaef8dc227",
+    "random": "3788ff123ab3e656aa85b678250cea94c099d9bbe20efc3cbf9edcba7dc19831",
+}
+
+
+@pytest.mark.parametrize("strategy", sorted(GL_FAILING_DIGESTS))
+def test_gl_zero_mode_failures_are_pinned(monkeypatch, strategy):
+    # wrong Cartan eigenvalues and a wrong closed-form e coefficient make
+    # three gl families fail; their counterexamples are pinned byte for byte
+    cartan = FiniteAction.t_cartan_eigenvalue
+    feigin_e = FiniteAction.feigin_e_coeff
+
+    def bad_cartan(self, p, i):
+        return cartan(self, p, i) * self.ctx.v ** (i + p.total())
+
+    def bad_feigin_e(self, src, i, j):
+        return feigin_e(self, src, i, j) * self.ctx.v
+
+    monkeypatch.setattr(FiniteAction, "t_cartan_eigenvalue", bad_cartan)
+    monkeypatch.setattr(FiniteAction, "feigin_e_coeff", bad_feigin_e)
+    reports = verify_gl_zero_modes(FiniteModel(3), max_degree=2,
+                                   strategy=strategy, seed=3, trials=3)
+    failing = {r.relation.family: r.counterexample["modes"]
+               for r in reports if r.status == "fail"}
+    assert failing == {"gl_twist": [1, 1, "f"], "gl_commutator": [1, 1],
+                       "gl_closed_form": ["e", 2, 2]}
+    text = json.dumps([r.to_json() for r in reports], sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        GL_FAILING_DIGESTS[strategy]
