@@ -118,9 +118,6 @@ class FiniteModel:
     def psi_mode(self, p, node: int, m: int, sign: str) -> FactoredExpr:
         return self.action.psi_mode(p, node, m, sign)
 
-    def pattern_json(self, p):
-        return p.to_json()
-
 
 class AffineModel:
     """Adapter exposing the affine module, with the shifted node-n series."""
@@ -162,9 +159,6 @@ class AffineModel:
 
     def psi_mode(self, p, node: int, m: int, sign: str) -> FactoredExpr:
         return self.action.psi_mode(p, node, m, sign)
-
-    def pattern_json(self, p):
-        return p.to_json()
 
 
 def _compositions(total: int, parts: int):
@@ -380,17 +374,48 @@ def _make_eval(model, strategy, rel, scope, seed, trials):
 _ATTEMPTS = 13
 
 
+class _Check:
+    """Entry count and first failing entry of one attempt at a family."""
+
+    def __init__(self, ev):
+        self.ev = ev
+        self.entries = 0
+        self.counterexample = None
+
+    def entry(self, src, tgt, modes, residual):
+        """Count one entry; the first nonzero residual is the counterexample."""
+        self.entries += 1
+        if self.counterexample is None and not residual.is_zero:
+            self.fail(src, tgt, modes, residual)
+
+    def acc(self, src, acc, modes):
+        """One entry per target of an accumulator dict."""
+        for tgt, residual in acc.items():
+            self.entry(src, tgt, modes, residual)
+
+    def fail(self, src, tgt, modes, residual):
+        self.counterexample = {
+            "source": src.to_json(),
+            "target": tgt.to_json(),
+            "modes": modes,
+            "residual": self.ev.payload(residual),
+        }
+
+
 def _run(model, rel, scope, strategy, seed, trials, body):
-    """Drive `body(ev)`, resampling on unlucky random points; when every
-    attempt hits a vanishing denominator the report has status "error"."""
+    """Drive `body(ev, check)`, resampling on unlucky random points; when
+    every attempt hits a vanishing denominator the report has status
+    "error"."""
     for attempt in range(_ATTEMPTS):
         ev = _make_eval(model, strategy, rel, scope, seed + attempt, trials)
+        check = _Check(ev)
         try:
-            entries, counterexample = body(ev)
+            body(ev, check)
         except _Resample:
             continue
-        status = "pass" if counterexample is None else "fail"
-        return VerificationReport(rel, scope, status, entries, counterexample)
+        status = "pass" if check.counterexample is None else "fail"
+        return VerificationReport(rel, scope, status, check.entries,
+                                  check.counterexample)
     return VerificationReport(
         rel, scope, "error", 0,
         error="each of %d sets of sample points vanished a denominator"
@@ -460,11 +485,40 @@ class _PathTable:
         return acc
 
 
-def _first_failure(entries):
-    for item in entries:
-        if item is not None:
-            return item
-    return None
+def _twisted(acc, t_lk, t_kl, a, b, c, zero):
+    """acc += X_{k,a+1} X_{l,b} - c X_{k,a} X_{l,b+1}
+              - c X_{l,b} X_{k,a+1} + X_{l,b+1} X_{k,a},
+    or the commutator X_{k,a} X_{l,b} - X_{l,b} X_{k,a} when c is None.
+
+    t_lk applies node l's leg first, t_kl node k's; a mode tuple lists the
+    legs right-to-left, so its first mode pairs with the right factor."""
+    if c is None:
+        t_lk.accumulate(acc, (b, a), None, zero)
+        t_kl.accumulate(acc, (a, b), -1, zero)
+    else:
+        t_lk.accumulate(acc, (b, a + 1), None, zero)
+        t_lk.accumulate(acc, (b + 1, a), -c, zero)
+        t_kl.accumulate(acc, (a + 1, b), -c, zero)
+        t_kl.accumulate(acc, (a, b + 1), None, zero)
+    return acc
+
+
+def _serre_tables(model, ev, kind, i, j, src):
+    """Path tables of X_i X_i X_j, X_i X_j X_i and X_j X_i X_i, legs listed
+    right-to-left, with symbolic betas kept as character keys."""
+    return tuple(_PathTable(model, ev, [(kind, node, None) for node in legs],
+                            src, keep_symbolic=True)
+                 for legs in ((j, i, i), (i, j, i), (i, i, j)))
+
+
+def _serre(acc, tables, a, b, c, coeff, zero):
+    """acc += X_{i,a}X_{i,b}X_{j,c} - coeff X_{i,a}X_{j,c}X_{i,b}
+              + X_{j,c}X_{i,a}X_{i,b}"""
+    t_jii, t_iji, t_iij = tables
+    t_jii.accumulate(acc, (c, b, a), None, zero)
+    t_iji.accumulate(acc, (b, c, a), -coeff, zero)
+    t_iij.accumulate(acc, (b, a, c), None, zero)
+    return acc
 
 
 # -- relation families ----------------------------------------------------------
@@ -477,42 +531,11 @@ def verify_xx_same(model, kind: str, k: int, window: int = 2, max_degree: int = 
     X_{a+1}X_b - c X_a X_{b+1} = c X_b X_{a+1} - X_{b+1} X_a
     with c = v^{-2} on the f-side and v^{2} on the e-side.
     """
-    rel = RelationId("xx_same", kind, (k,))
-    scope = _scope(model, strategy, seed, trials, max_degree=max_degree,
-                   window=window, mutate=mutate or "")
-    sources = model.sources(max_degree)
-
-    def body(ev):
-        cexp = -2 if kind == "f" else 2
-        if mutate == "halved_twist":
-            cexp //= 2
-        c = ev.var("v") ** cexp
-        entries = 0
-        counterexample = None
-        for src in sources:
-            table = _PathTable(model, ev, [(kind, k, None), (kind, k, None)], src)
-            if not table.rows:
-                continue
-            for a in range(-window, window + 1):
-                for b in range(-window, window + 1):
-                    acc = {}
-                    # legs right-to-left: leg1 mode pairs with the right factor
-                    table.accumulate(acc, (b, a + 1), None, ev.zero)
-                    table.accumulate(acc, (b + 1, a), -c, ev.zero)
-                    table.accumulate(acc, (a + 1, b), -c, ev.zero)
-                    table.accumulate(acc, (a, b + 1), None, ev.zero)
-                    for tgt, residual in acc.items():
-                        entries += 1
-                        if not residual.is_zero and counterexample is None:
-                            counterexample = {
-                                "source": model.pattern_json(src),
-                                "target": model.pattern_json(tgt),
-                                "modes": [a, b],
-                                "residual": ev.payload(residual),
-                            }
-        return entries, counterexample
-
-    return _run(model, rel, scope, strategy, seed, trials, body)
+    cexp = -2 if kind == "f" else 2
+    if mutate == "halved_twist":
+        cexp //= 2
+    return _xx(model, RelationId("xx_same", kind, (k,)), kind, k, k, cexp,
+               None, None, window, max_degree, strategy, seed, trials, mutate)
 
 
 def verify_xx_pair(model, kind: str, k: int, l: int, window: int = 2,
@@ -527,50 +550,42 @@ def verify_xx_pair(model, kind: str, k: int, l: int, window: int = 2,
     hat-shifted (beta -> beta (v^n u^2)^{-1}), giving the toroidal relation.
     """
     family = "tor_xx_boundary" if boundary else "xx_adjacent"
-    rel = RelationId(family, kind, (k, l))
-    scope = _scope(model, strategy, seed, trials, max_degree=max_degree,
-                   window=window, mutate=mutate or "")
-    sources = model.sources(max_degree)
     a_kl = -1 if boundary else model.cartan(k, l)
-
-    def body(ev):
+    cexp = None
+    if a_kl:
         cexp = -a_kl if kind == "f" else a_kl
         if mutate == "squared_twist":
             cexp *= 2
-        c = ev.var("v") ** cexp
-        shift = None
-        if boundary:
-            shift = 1 / model.action.hat_scale
-        sh_k = shift if (boundary and k == model.n) else None
-        sh_l = shift if (boundary and l == model.n) else None
-        entries = 0
-        counterexample = None
+    sh_k = sh_l = None
+    if boundary:
+        shift = 1 / model.action.hat_scale
+        sh_k = shift if k == model.n else None
+        sh_l = shift if l == model.n else None
+    return _xx(model, RelationId(family, kind, (k, l)), kind, k, l, cexp,
+               sh_k, sh_l, window, max_degree, strategy, seed, trials, mutate)
+
+
+def _xx(model, rel, kind, k, l, cexp, sh_k, sh_l, window, max_degree,
+        strategy, seed, trials, mutate):
+    """The twisted identity with c = v^cexp (the commutator when cexp is
+    None) at every windowed mode pair; when k == l one path table serves
+    both orders."""
+    scope = _scope(model, strategy, seed, trials, max_degree=max_degree,
+                   window=window, mutate=mutate or "")
+    sources = model.sources(max_degree)
+
+    def body(ev, check):
+        c = None if cexp is None else ev.var("v") ** cexp
         for src in sources:
             t_lk = _PathTable(model, ev, [(kind, l, sh_l), (kind, k, sh_k)], src)
-            t_kl = _PathTable(model, ev, [(kind, k, sh_k), (kind, l, sh_l)], src)
+            t_kl = t_lk if k == l else _PathTable(
+                model, ev, [(kind, k, sh_k), (kind, l, sh_l)], src)
             if not (t_lk.rows or t_kl.rows):
                 continue
             for a in range(-window, window + 1):
                 for b in range(-window, window + 1):
-                    acc = {}
-                    if a_kl == 0:
-                        t_lk.accumulate(acc, (b, a), None, ev.zero)
-                        t_kl.accumulate(acc, (a, b), -1, ev.zero)
-                    else:
-                        t_lk.accumulate(acc, (b, a + 1), None, ev.zero)
-                        t_lk.accumulate(acc, (b + 1, a), -c, ev.zero)
-                        t_kl.accumulate(acc, (a + 1, b), -c, ev.zero)
-                        t_kl.accumulate(acc, (a, b + 1), None, ev.zero)
-                    for tgt, residual in acc.items():
-                        entries += 1
-                        if not residual.is_zero and counterexample is None:
-                            counterexample = {
-                                "source": model.pattern_json(src),
-                                "target": model.pattern_json(tgt),
-                                "modes": [a, b],
-                                "residual": ev.payload(residual),
-                            }
-        return entries, counterexample
+                    check.acc(src, _twisted({}, t_lk, t_kl, a, b, c, ev.zero),
+                              [a, b])
 
     return _run(model, rel, scope, strategy, seed, trials, body)
 
@@ -584,34 +599,21 @@ def verify_commutator(model, k: int, l: int, window: int = 2, max_degree: int = 
                    window=window, mutate=mutate or "")
     sources = model.sources(max_degree)
 
-    def body(ev):
+    def body(ev, check):
         v = ev.var("v")
         divisor = (v - 1 / v) if mutate == "textbook_divisor" else (v * v - 1)
-        entries = 0
-        counterexample = None
         for src in sources:
             t_ef = _PathTable(model, ev, [("f", l, None), ("e", k, None)], src)
             t_fe = _PathTable(model, ev, [("e", k, None), ("f", l, None)], src)
             for a in range(-window, window + 1):
                 for b in range(-window, window + 1):
-                    acc = {}
-                    t_ef.accumulate(acc, (b, a), None, ev.zero)
-                    t_fe.accumulate(acc, (a, b), -1, ev.zero)
+                    acc = _twisted({}, t_ef, t_fe, a, b, None, ev.zero)
                     if k == l:
                         m = a + b
                         diag = (ev.lift(model.psi_mode(src, k, m, "+"))
                                 - ev.lift(model.psi_mode(src, k, m, "-"))) / divisor
                         acc[src] = acc.get(src, ev.zero) - diag
-                    for tgt, residual in acc.items():
-                        entries += 1
-                        if not residual.is_zero and counterexample is None:
-                            counterexample = {
-                                "source": model.pattern_json(src),
-                                "target": model.pattern_json(tgt),
-                                "modes": [a, b],
-                                "residual": ev.payload(residual),
-                            }
-        return entries, counterexample
+                    check.acc(src, acc, [a, b])
 
     return _run(model, rel, scope, strategy, seed, trials, body)
 
@@ -640,13 +642,11 @@ def verify_psi_x(model, k: int, l: int, kind: str, max_degree: int = 3,
     sources = model.sources(max_degree)
     a_kl = -1 if boundary else model.cartan(k, l)
 
-    def body(ev):
+    def body(ev, check):
         z = ev.var("z")
         cexp = a_kl if kind == "e" else -a_kl
         c = ev.var("v") ** cexp
         shifted = mutate != "unshifted"
-        entries = 0
-        counterexample = None
         for src in sources:
             if boundary == "psi_hat" and shifted:
                 psi_src = ev.lift(model.psi_hat(src))
@@ -660,16 +660,8 @@ def verify_psi_x(model, k: int, l: int, kind: str, max_degree: int = 3,
                     psi_tgt = ev.lift(model.psi_hat(tr.target))
                 else:
                     psi_tgt = ev.lift(model.psi(tr.target, l))
-                residual = (z - c * beta) * psi_tgt - (c * z - beta) * psi_src
-                entries += 1
-                if not residual.is_zero and counterexample is None:
-                    counterexample = {
-                        "source": model.pattern_json(src),
-                        "target": model.pattern_json(tr.target),
-                        "modes": ["rational identity"],
-                        "residual": ev.payload(residual),
-                    }
-        return entries, counterexample
+                check.entry(src, tr.target, ["rational identity"],
+                            (z - c * beta) * psi_tgt - (c * z - beta) * psi_src)
 
     return _run(model, rel, scope, strategy, seed, trials, body)
 
@@ -685,22 +677,11 @@ def verify_psi_psi(model, k: int, l: int, max_degree: int = 3,
                    window="rational")
     sources = model.sources(max_degree)
 
-    def body(ev):
-        entries = 0
-        counterexample = None
+    def body(ev, check):
         for src in sources:
             a = ev.lift(model.psi(src, k))
             b = ev.lift(model.psi(src, l))
-            residual = a * b - b * a
-            entries += 1
-            if not residual.is_zero and counterexample is None:
-                counterexample = {
-                    "source": model.pattern_json(src),
-                    "target": model.pattern_json(src),
-                    "modes": ["diagonal"],
-                    "residual": ev.payload(residual),
-                }
-        return entries, counterexample
+            check.entry(src, src, ["diagonal"], a * b - b * a)
 
     return _run(model, rel, scope, strategy, seed, trials, body)
 
@@ -717,42 +698,28 @@ def verify_serre(model, kind: str, i: int, j: int, window: int = 2,
     independence of distinct characters of Z^3, into one exact sum per
     (target, character) group; those group sums are what is verified (a
     superset of the stated window).  When a group survives, the windowed
-    sweep runs to exhibit a concrete (a, b, c) counterexample.
+    sweep runs to exhibit a concrete (a, b, c) counterexample; when the
+    sweep finds none, the surviving group itself is the counterexample.
     """
     rel = RelationId("serre", kind, (i, j))
     scope = _scope(model, strategy, seed, trials, max_degree=max_degree,
                    window=window, mutate=mutate or "")
     sources = model.sources(max_degree)
 
-    def body(ev):
+    def body(ev, check):
         v = ev.var("v")
         coeff = ev.zero + 2 if mutate == "flattened" else v + 1 / v
-        entries = 0
-        counterexample = None
         for src in sources:
-            # leg order right-to-left; symbolic betas key the characters
-            t_jii = _PathTable(model, ev, [(kind, j, None), (kind, i, None),
-                                           (kind, i, None)], src,
-                               keep_symbolic=True)
-            t_iji = _PathTable(model, ev, [(kind, i, None), (kind, j, None),
-                                           (kind, i, None)], src,
-                               keep_symbolic=True)
-            t_iij = _PathTable(model, ev, [(kind, i, None), (kind, i, None),
-                                           (kind, j, None)], src,
-                               keep_symbolic=True)
-            if not (t_jii.rows or t_iji.rows or t_iij.rows):
+            tables = _serre_tables(model, ev, kind, i, j, src)
+            if not any(table.rows for table in tables):
                 continue
             groups = {}
-            # term, with legs listed right-to-left and the positions of the
-            # modes (a, b, c) among the legs:   X_{i,a} X_{i,b} X_{j,c}
-            # applies leg j first with mode c, so the character seen by
-            # (a, b, c) permutes the leg betas accordingly.
-            specs = (
-                (t_jii, (2, 1, 0), None),    # legs (j:c, i:b, i:a)
-                (t_iji, (2, 0, 1), -coeff),  # legs (i:b, j:c, i:a)
-                (t_iij, (1, 0, 2), None),    # legs (i:b, i:a, j:c)
-            )
-            for table, pos, weight in specs:
+            # X_{i,a} X_{i,b} X_{j,c} applies leg j first with mode c, so the
+            # character seen by (a, b, c) permutes the leg betas accordingly:
+            # legs (j:c, i:b, i:a), (i:b, j:c, i:a) and (i:b, i:a, j:c)
+            for table, pos, weight in zip(tables, ((2, 1, 0), (2, 0, 1),
+                                                   (1, 0, 2)),
+                                          (None, -coeff, None)):
                 for row, srow in zip(table.rows, table.sym_rows):
                     tgt, base = row[0], row[1]
                     sbetas = srow[2]
@@ -765,38 +732,33 @@ def verify_serre(model, kind: str, i: int, j: int, window: int = 2,
                         groups[key] = groups.get(key, ev.zero) + term
             failing = None
             for (tgt, chi), total in groups.items():
-                entries += 1
-                if not total.is_zero and failing is None:
-                    failing = tgt
-            if failing is not None and counterexample is None:
-                counterexample = _serre_sweep_counterexample(
-                    model, ev, src, (t_jii, t_iji, t_iij), coeff, window)
-        return entries, counterexample
+                check.entries += 1
+                if failing is None and not total.is_zero:
+                    failing = tgt, total
+            if failing is not None and check.counterexample is None \
+                    and not _serre_sweep(check, src, tables, coeff, window):
+                tgt, total = failing
+                check.fail(src, tgt, ["character group"], total)
 
     return _run(model, rel, scope, strategy, seed, trials, body)
 
 
-def _serre_sweep_counterexample(model, ev, src, tables, coeff, window):
-    """Windowed sweep locating the first concrete failing (a, b, c)."""
-    t_jii, t_iji, t_iij = tables
+def _serre_sweep(check, src, tables, coeff, window):
+    """Windowed sweep recording the first concrete failing (a, b, c);
+    False when every windowed residual vanishes."""
+    zero = check.ev.zero
     rng = range(-window, window + 1)
     for a in rng:
         for b in rng:
             for c in rng:
                 acc = {}
-                for aa, bb in ((a, b), (b, a)):
-                    t_jii.accumulate(acc, (c, bb, aa), None, ev.zero)
-                    t_iji.accumulate(acc, (bb, c, aa), -coeff, ev.zero)
-                    t_iij.accumulate(acc, (bb, aa, c), None, ev.zero)
+                _serre(acc, tables, a, b, c, coeff, zero)
+                _serre(acc, tables, b, a, c, coeff, zero)
                 for tgt, residual in acc.items():
                     if not residual.is_zero:
-                        return {
-                            "source": model.pattern_json(src),
-                            "target": model.pattern_json(tgt),
-                            "modes": [a, b, c],
-                            "residual": ev.payload(residual),
-                        }
-    return None
+                        check.fail(src, tgt, [a, b, c], residual)
+                        return True
+    return False
 
 
 # -- gl_n zero-mode families ---------------------------------------------------
@@ -819,29 +781,18 @@ def verify_gl_zero_modes(model: FiniteModel, max_degree: int = 3,
         reports.append(_run(model, rel, scope, strategy, seed, trials, body))
 
     # Cartan family: diagonal operators commute and invert
-    def cartan_body(ev):
-        entries = 0
-        counterexample = None
+    def cartan_body(ev, check):
         for src in sources:
             for ti in range(1, n + 1):
                 for tj in range(1, n + 1):
                     a = ev.lift(action.t_cartan_eigenvalue(src, ti))
                     b = ev.lift(action.t_cartan_eigenvalue(src, tj))
-                    residual = a * b - b * a
-                    entries += 1
-                    if not residual.is_zero and counterexample is None:
-                        counterexample = {"source": model.pattern_json(src),
-                                          "target": model.pattern_json(src),
-                                          "modes": [ti, tj],
-                                          "residual": ev.payload(residual)}
-        return entries, counterexample
+                    check.entry(src, src, [ti, tj], a * b - b * a)
 
     run_family("gl_cartan", (), cartan_body)
 
     # t x t^{-1} twists: t_i X_j t_i^{-1} = X_j v^{+-(delta_{ij}-delta_{i,j+1})}
-    def twist_body(ev):
-        entries = 0
-        counterexample = None
+    def twist_body(ev, check):
         v = ev.var("v")
         for src in sources:
             for jn in range(1, n):
@@ -854,135 +805,71 @@ def verify_gl_zero_modes(model: FiniteModel, max_degree: int = 3,
                             rhs = (ev.lift(tr.base)
                                    * ev.lift(action.t_cartan_eigenvalue(src, ti))
                                    * v ** tw)
-                            residual = lhs - rhs
-                            entries += 1
-                            if not residual.is_zero and counterexample is None:
-                                counterexample = {
-                                    "source": model.pattern_json(src),
-                                    "target": model.pattern_json(tr.target),
-                                    "modes": [ti, jn, kind],
-                                    "residual": ev.payload(residual)}
-        return entries, counterexample
+                            check.entry(src, tr.target, [ti, jn, kind],
+                                        lhs - rhs)
 
     run_family("gl_twist", (), twist_body)
 
     # [e_i, f_j] = delta_ij (k_i - k_i^{-1}) / (v^2-1), k_i = t_i t_{i+1}^{-1}
-    def comm_body(ev):
-        entries = 0
-        counterexample = None
+    def comm_body(ev, check):
         v = ev.var("v")
         for src in sources:
             for ki in range(1, n):
                 for li in range(1, n):
-                    acc = {}
-                    _PathTable(model, ev, [("f", li, None), ("e", ki, None)],
-                               src).accumulate(acc, (0, 0), None, ev.zero)
-                    _PathTable(model, ev, [("e", ki, None), ("f", li, None)],
-                               src).accumulate(acc, (0, 0), -1, ev.zero)
+                    t_ef = _PathTable(model, ev, [("f", li, None),
+                                                  ("e", ki, None)], src)
+                    t_fe = _PathTable(model, ev, [("e", ki, None),
+                                                  ("f", li, None)], src)
+                    acc = _twisted({}, t_ef, t_fe, 0, 0, None, ev.zero)
                     if ki == li:
                         kk = (ev.lift(action.t_cartan_eigenvalue(src, ki))
                               / ev.lift(action.t_cartan_eigenvalue(src, ki + 1)))
                         acc[src] = (acc.get(src, ev.zero)
                                     - (kk - 1 / kk) / (v * v - 1))
-                    for tgt, residual in acc.items():
-                        entries += 1
-                        if not residual.is_zero and counterexample is None:
-                            counterexample = {
-                                "source": model.pattern_json(src),
-                                "target": model.pattern_json(tgt),
-                                "modes": [ki, li],
-                                "residual": ev.payload(residual)}
-        return entries, counterexample
+                    check.acc(src, acc, [ki, li])
 
     run_family("gl_commutator", (), comm_body)
 
     # distant-node commutation and the balanced cubic Serre identity
-    def distant_body(ev):
-        entries = 0
-        counterexample = None
+    def distant_body(ev, check):
         for src in sources:
             for kind in ("e", "f"):
                 for ki in range(1, n):
                     for li in range(ki + 2, n):
-                        acc = {}
-                        _PathTable(model, ev, [(kind, li, None),
-                                               (kind, ki, None)],
-                                   src).accumulate(acc, (0, 0), None, ev.zero)
-                        _PathTable(model, ev, [(kind, ki, None),
-                                               (kind, li, None)],
-                                   src).accumulate(acc, (0, 0), -1, ev.zero)
-                        for tgt, residual in acc.items():
-                            entries += 1
-                            if not residual.is_zero and counterexample is None:
-                                counterexample = {
-                                    "source": model.pattern_json(src),
-                                    "target": model.pattern_json(tgt),
-                                    "modes": [kind, ki, li],
-                                    "residual": ev.payload(residual)}
-        return entries, counterexample
+                        t_lk = _PathTable(model, ev, [(kind, li, None),
+                                                      (kind, ki, None)], src)
+                        t_kl = _PathTable(model, ev, [(kind, ki, None),
+                                                      (kind, li, None)], src)
+                        check.acc(src, _twisted({}, t_lk, t_kl, 0, 0, None,
+                                                ev.zero), [kind, ki, li])
 
     run_family("gl_distant", (), distant_body)
 
-    def serre_body(ev):
+    def serre_body(ev, check):
         v = ev.var("v")
         coeff = v + 1 / v
-        entries = 0
-        counterexample = None
         for src in sources:
             for kind in ("e", "f"):
                 for ii in range(1, n):
                     for jj in (ii - 1, ii + 1):
                         if not (1 <= jj <= n - 1):
                             continue
-                        acc = {}
-                        _PathTable(model, ev, [(kind, jj, None), (kind, ii, None),
-                                               (kind, ii, None)],
-                                   src).accumulate(acc, (0, 0, 0), None, ev.zero)
-                        _PathTable(model, ev, [(kind, ii, None), (kind, jj, None),
-                                               (kind, ii, None)],
-                                   src).accumulate(acc, (0, 0, 0), -coeff, ev.zero)
-                        _PathTable(model, ev, [(kind, ii, None), (kind, ii, None),
-                                               (kind, jj, None)],
-                                   src).accumulate(acc, (0, 0, 0), None, ev.zero)
-                        for tgt, residual in acc.items():
-                            entries += 1
-                            if not residual.is_zero and counterexample is None:
-                                counterexample = {
-                                    "source": model.pattern_json(src),
-                                    "target": model.pattern_json(tgt),
-                                    "modes": [kind, ii, jj],
-                                    "residual": ev.payload(residual)}
-        return entries, counterexample
+                        tables = _serre_tables(model, ev, kind, ii, jj, src)
+                        check.acc(src, _serre({}, tables, 0, 0, 0, coeff,
+                                              ev.zero), [kind, ii, jj])
 
     run_family("gl_serre", (), serre_body)
 
     # zero modes match the direct t,v-variable coefficient expressions
-    def feigin_body(ev):
-        entries = 0
-        counterexample = None
+    def feigin_body(ev, check):
         for src in sources:
             for node in range(1, n):
-                for tr in model.transitions("f", node, src):
-                    residual = (ev.lift(tr.base)
-                                - ev.lift(action.feigin_f_coeff(src, node,
-                                                                tr.column)))
-                    entries += 1
-                    if not residual.is_zero and counterexample is None:
-                        counterexample = {"source": model.pattern_json(src),
-                                          "target": model.pattern_json(tr.target),
-                                          "modes": ["f", node, tr.column],
-                                          "residual": ev.payload(residual)}
-                for tr in model.transitions("e", node, src):
-                    residual = (ev.lift(tr.base)
-                                - ev.lift(action.feigin_e_coeff(src, node,
-                                                                tr.column)))
-                    entries += 1
-                    if not residual.is_zero and counterexample is None:
-                        counterexample = {"source": model.pattern_json(src),
-                                          "target": model.pattern_json(tr.target),
-                                          "modes": ["e", node, tr.column],
-                                          "residual": ev.payload(residual)}
-        return entries, counterexample
+                for kind, closed in (("f", action.feigin_f_coeff),
+                                     ("e", action.feigin_e_coeff)):
+                    for tr in model.transitions(kind, node, src):
+                        check.entry(src, tr.target, [kind, node, tr.column],
+                                    ev.lift(tr.base)
+                                    - ev.lift(closed(src, node, tr.column)))
 
     run_family("gl_closed_form", (), feigin_body)
 

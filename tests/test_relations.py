@@ -4,6 +4,7 @@ import json
 import pytest
 
 from laumonk.finite_action import FiniteAction
+from laumonk import relations
 from laumonk.patterns import enumerate_finite, neighbors
 from laumonk.relations import (
     AffineModel,
@@ -149,6 +150,20 @@ def test_strategy_equivalence(fm3):
         assert maker("symbolic").passed == maker("random").passed
 
 
+@pytest.mark.parametrize("strategy", ["symbolic", "random"])
+def test_serre_failing_group_without_witness_fails(monkeypatch, fm3,
+                                                    strategy):
+    # a surviving character group fails the family even when the windowed
+    # sweep finds no concrete (a, b, c)
+    monkeypatch.setattr(relations, "_serre_sweep", lambda *args: None)
+    rep = verify_serre(fm3, "f", 1, 2, mutate="flattened", window=1,
+                       max_degree=2, strategy=strategy, seed=3)
+    assert rep.status == "fail" and rep.entries_checked == 28
+    cex = rep.counterexample
+    assert sorted(cex) == ["modes", "residual", "source", "target"]
+    assert cex["modes"] == ["character group"] and cex["residual"]
+
+
 def test_negative_controls_fail_with_counterexamples():
     for rep in negative_controls(3, max_degree=2, window=1):
         assert not rep.passed
@@ -190,7 +205,7 @@ def test_resample_exhaustion_is_an_error_report(fm2):
     # reported with status "error", not thrown
     calls = []
 
-    def body(ev):
+    def body(ev, check):
         calls.append(ev.points)
         raise _Resample(0)
 
