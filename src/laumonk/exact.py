@@ -998,19 +998,6 @@ def expr_from_string(ctx: LaurentContext, text: str) -> LaurentExpr:
     return LaurentExpr(ctx, ctx._frac(num, den))
 
 
-def arith(a, b, op: str):
-    """Field operation by name."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise ExactError("unknown op %r" % op)
-
-
 class LaurentSeries:
     """Truncated expansion of a rational function at z=infinity or z=0.
 

@@ -156,27 +156,8 @@ class SpecializationMap:
                     for exps, coeff in terms), self.ctx.zero)
 
 
-@dataclass
-class SpecializedExpr:
-    """Univariate Laurent rational value of a specialized expression."""
-
-    expr: FactoredExpr
-
-    def __eq__(self, other):
-        if isinstance(other, SpecializedExpr):
-            return self.expr == other.expr
-        return self.expr == other
-
-    @property
-    def is_zero(self):
-        return self.expr.is_zero
-
-    def to_string(self):
-        return self.expr.to_string()
-
-
 def specialize(x: FactoredExpr, w: LevelWeight,
-               u_exponent: int = None) -> SpecializedExpr:
+               u_exponent: int = None) -> FactoredExpr:
     """Exact substitution on the reduced numerator/denominator pair."""
     smap = SpecializationMap(w, u_exponent)
     x = x.reduce()
@@ -184,7 +165,7 @@ def specialize(x: FactoredExpr, w: LevelWeight,
     den = smap._specialize_poly_terms(x.denominator_terms())
     if den.is_zero:
         raise SpecializationError("denominator specializes to zero")
-    return SpecializedExpr(num / den)
+    return num / den
 
 
 @dataclass
@@ -210,7 +191,7 @@ class FactoredCoefficient:
     def denominator_vanishes(self) -> bool:
         return any(e == 0 for e in self.den_exponents)
 
-    def value(self) -> SpecializedExpr:
+    def value(self) -> FactoredExpr:
         if self.denominator_vanishes:
             raise SpecializationError(
                 "denominator factor specializes to zero: exponents %s"
@@ -223,7 +204,7 @@ class FactoredCoefficient:
             out = out * (1 - v ** e)
         for e in self.den_exponents:
             out = out / (1 - v ** e)
-        return SpecializedExpr(out)
+        return out
 
 
 class RenormalizedAction:
