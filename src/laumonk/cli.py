@@ -11,8 +11,9 @@ Subcommands:
 
 All reports are JSON with sorted keys; identical (config, seed) runs are
 byte-identical.  --workers (or LAUMONK_WORKERS) sizes a thread pool over
-independent relation families; the merge order is fixed, so results do not
-depend on the worker count.
+the units of a suite; every suite is one unit today, so a second worker
+overlaps no work.  The merge order is fixed, so results do not depend on
+the worker count.
 """
 
 from __future__ import annotations

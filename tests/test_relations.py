@@ -3,8 +3,8 @@ import json
 
 import pytest
 
-from laumonk.finite_action import FiniteAction
 from laumonk import relations
+from laumonk.finite_action import FiniteAction
 from laumonk.patterns import enumerate_finite, neighbors
 from laumonk.relations import (
     AffineModel,
