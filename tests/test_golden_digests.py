@@ -7,14 +7,18 @@ glzero runs, the random loop acceptance scope and the symbolic loop,
 toroidal and glzero acceptance scopes follow. A digest that moves
 means a verdict, an entry count or a serialized value changed (the failing
 random controls pin the residual strings of the random strategy). Every verify command also runs with one and with
-two workers, and both runs must give the same bytes.
+two workers, and both runs must give the same bytes. The op-matrix reports
+pin plain f/e coefficient values of both modules, and the V(mu) blocks pin
+specialized matrix values away from the vacuum.
 """
 
 import hashlib
+import json
 
 import pytest
 
 from laumonk.cli import main
+from laumonk.specialization import LevelWeight, build_Vmu_block
 
 VERIFY = {
     "loop-symbolic": (
@@ -100,6 +104,47 @@ OTHER = {
         ["specialize", "-n", "3", "-K", "1", "--mu", "0,0,0",
          "--max-degree", "3", "--wrong-u"],
         "2b1931cb504ad80f67ed628971161412bd3fd8070c3e2bff00df5bfcf577ba35"),
+    "op-matrix-finite-f": (
+        ["op-matrix", "-n", "3", "--kind", "f", "--node", "2", "-r", "1",
+         "-d", "1,2"],
+        "5a4e817fcac49088c838123c5f607da30f9aaf5a12018cff9d48c1d0f9a61b84"),
+    "op-matrix-finite-e": (
+        ["op-matrix", "-n", "3", "--kind", "e", "--node", "2", "-r", "-1",
+         "-d", "1,2"],
+        "6a5be85e4fff5ce204e783ce2556096d1f05595ec3da0536147b94b3aae771de"),
+    "op-matrix-finite-f-n4": (
+        ["op-matrix", "-n", "4", "--kind", "f", "--node", "3", "-r", "2",
+         "-d", "1,1,2"],
+        "f6d7bbe5c5b22aa1c1996a87aa3c291f31fc28e9fee2825bd4b6da9ca6935ee3"),
+    "op-matrix-affine-f": (
+        ["op-matrix", "-n", "3", "--affine", "--kind", "f", "--node", "3",
+         "-r", "1", "-d", "1,1,1"],
+        "c196baf51342cbc0e3dd46cd3d9d5c7d337edcf662b50520b2497a7710bb8fc8"),
+    "op-matrix-affine-e": (
+        ["op-matrix", "-n", "3", "--affine", "--kind", "e", "--node", "1",
+         "-r", "-2", "-d", "2,1,1"],
+        "2a833d40af0d8bed68c385b30cbd2cf98d157d3826247f32c1da215e440fe018"),
+    "op-matrix-affine-e-n4": (
+        ["op-matrix", "-n", "4", "--affine", "--kind", "e", "--node", "4",
+         "-r", "0", "-d", "1,2,1,1"],
+        "45cd8b82bd54d052b54b9ed20569feed04784a7ba52a735da2adcad546eede76"),
+}
+
+# name -> ((K, mu, degree, u_exponent), sha256 of the sorted-key JSON block);
+# all at n = 3 with window 2
+VMU_BLOCKS = {
+    "K1-000-111": (
+        (1, (0, 0, 0), (1, 1, 1), None),
+        "ae0a91b332866c154659cf96ba0a3a34893b79c3bb1c13f744064a4790507d87"),
+    "K2-100-111": (
+        (2, (1, 0, 0), (1, 1, 1), None),
+        "0c67f7f351d066a80bc35854fafb5d9b1e0f352d18bacd53c5775054b7eeac96"),
+    "K2-100-211": (
+        (2, (1, 0, 0), (2, 1, 1), None),
+        "6b38a87a00f5f65afb8f2a2c804788a4f9ff04f5761697181b3efd5ed6b7be7e"),
+    "K1-000-111-wrong-u": (
+        (1, (0, 0, 0), (1, 1, 1), -3),
+        "d5a962ae0bb18c90493ec264479b35879be50e8c4f5f0a1dfd768613e2e0dbc6"),
 }
 
 
@@ -120,3 +165,12 @@ def test_verify_digest_with_one_and_two_workers(name, tmp_path):
 def test_report_digest(name, tmp_path):
     argv, digest = OTHER[name]
     assert _digest(argv, tmp_path / (name + ".json")) == digest
+
+
+@pytest.mark.parametrize("name", sorted(VMU_BLOCKS))
+def test_vmu_block_digest(name):
+    (K, mu, deg, u), digest = VMU_BLOCKS[name]
+    block = build_Vmu_block(LevelWeight(3, K, mu), deg, window=2,
+                            u_exponent=u)
+    text = json.dumps(block, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
