@@ -6,11 +6,17 @@ vectors.  All s-values are read off the SOURCE pattern of a transition: the
 f-modes raise degree at node i and read the smaller pattern, the e-modes
 lower it and read the larger one.  Boundary rows obey d_0 = d_n = 0 and
 s_{n,k} = t_k^2.
+
+The coefficient shapes (a monomial times (1 - monomial) products) are built
+once here, by module-level functions parameterized by the weight function,
+the column lower bound and the prefactor twist; the affine module and the
+renormalized affine basis call the same functions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 
 from .exact import AT_INFINITY, AT_ZERO, FactoredExpr, LaurentContext, \
     series_coefficient
@@ -51,6 +57,140 @@ class Transition:
         return self.base * self.beta ** r
 
 
+# -- the shared coefficient kernel ------------------------------------------
+#
+# The finite and the affine module (and the renormalized affine basis) build
+# every coefficient from one weight function w(pattern, i, j) -- s on the
+# finite module, p on the affine one -- and a column lower bound lo: the
+# products run over the columns lo < k, all of them on the finite module
+# (lo = 0) and a telescoped window on the affine one.
+
+
+def column_ratios(w, kind, src, i, j, lo):
+    """(w_{ij}, numerator, denominator) of the f- or e-shaped products at
+    cell (i, j) of src over the columns lo < k: the lists hold the monomials
+    m of the (1 - m) factors, and the denominator opens with v^2 for the
+    (1 - v^2) factor of every shape."""
+    wij = w(src, i, j)
+    v = wij.ctx.v
+    den = [v * v]
+    if kind == "f":
+        num = [wij / w(src, i - 1, k) for k in range(lo + 1, i)]
+        den += [wij / w(src, i, k) for k in range(lo + 1, i + 1) if k != j]
+    elif kind == "e":
+        num = [w(src, i + 1, k) / wij for k in range(lo + 1, i + 2)]
+        den += [w(src, i, k) / wij for k in range(lo + 1, i + 1) if k != j]
+    else:
+        raise ActionError("kind must be e or f")
+    return wij, num, den
+
+
+def shaped(ctx, pref, num, den) -> FactoredExpr:
+    """pref * prod_{m in num} (1 - m) / prod_{m in den} (1 - m)."""
+    return prod((1 - m for m in num), start=pref) \
+        / prod((1 - m for m in den), start=ctx.one)
+
+
+def move_coefficient(ctx, w, kind, src, i, j, lo) -> FactoredExpr:
+    """r=0 coefficient of the f-move raising (e-move lowering) d_{ij},
+    read off the source pattern."""
+    if src.bump(i, j, 1 if kind == "f" else -1) is None:
+        raise ActionError("invalid %s-move at (%d, %d)" % (kind, i, j))
+    wij, num, den = column_ratios(w, kind, src, i, j, lo)
+    v = ctx.v
+    if kind == "f":
+        pref = -(wij * v ** (src.row_sum(i) - src.row_sum(i - 1) - 1 + i)) \
+            / ctx.t_res(i)
+    else:
+        pref = v ** (src.row_sum(i + 1) - src.row_sum(i) + 1 - i) \
+            / ctx.t_res(i + 1)
+    return shaped(ctx, pref, num, den)
+
+
+def move_beta(wij, kind, i) -> FactoredExpr:
+    """Spectral factor of a move at row i with weight wij: wij v^i for f,
+    wij v^{i+2} for e."""
+    return wij * wij.ctx.v ** (i if kind == "f" else i + 2)
+
+
+def move_transitions(action, w, kind, node, src):
+    """All single-box e/f moves of src at the node with base coefficient and
+    spectral factor; the bases come from the action's own f_base_coeff and
+    e_base_coeff, and the list is cached on the action."""
+    key = (kind, node, src)
+    hit = action._transitions_cache.get(key)
+    if hit is not None:
+        return hit
+    if kind == "f":
+        base, direction = action.f_base_coeff, 1
+    elif kind == "e":
+        base, direction = action.e_base_coeff, -1
+    else:
+        raise ActionError("transitions are for kinds e/f")
+    out = action._transitions_cache[key] = [
+        Transition(j, tgt, base(src, node, j),
+                   move_beta(w(src, node, j), kind, node))
+        for j, tgt in neighbors(src, node, direction)
+    ]
+    return out
+
+
+def psi_prefactor(ctx, p, i, twist) -> FactoredExpr:
+    """twist * t_{i+1}^{-1} t_i v^{d_{i+1} - 2 d_i + d_{i-1} - 1}; the twist
+    is u^2 on the affine module and 1 on the finite one."""
+    return twist * ctx.t_res(i + 1) ** -1 * ctx.t_res(i) * ctx.v ** (
+        p.row_sum(i + 1) - 2 * p.row_sum(i) + p.row_sum(i - 1) - 1)
+
+
+def psi_value(ctx, w, p, i, lo, twist) -> FactoredExpr:
+    """Eigenvalue of the psi-series at node i, rational in z."""
+    low = ctx.z ** -1 * ctx.v ** i
+    high = low * ctx.v ** 2
+    num = [high * w(p, i + 1, j) for j in range(lo + 1, i + 2)]
+    num += [low * w(p, i - 1, j) for j in range(lo + 1, i)]
+    den = []
+    for j in range(lo + 1, i + 1):
+        wij = w(p, i, j)
+        den += [high * wij, low * wij]
+    return shaped(ctx, psi_prefactor(ctx, p, i, twist), num, den)
+
+
+def b_quotient(ctx, w, p, m, i, scale, lo) -> FactoredExpr:
+    """Eigenvalue of the quotient of the row-i by the row-m tautological
+    series at argument z*scale."""
+    zs = (ctx.z * scale) ** -1
+    return shaped(ctx, ctx.one,
+                  [zs * w(p, i, j) for j in range(lo + 1, i + 1)],
+                  [zs * w(p, m, j) for j in range(lo + 1, m + 1)])
+
+
+def psi_from_quotients(action, p, i, m, twist) -> FactoredExpr:
+    """psi eigenvalue at node i assembled from the action's four row-m
+    quotient series."""
+    v = action.ctx.v
+    b = action.b_quotient_eigenvalue
+    return (
+        psi_prefactor(action.ctx, p, i, twist)
+        / b(p, m, i, v ** (-i - 2))
+        / b(p, m, i, v ** -i)
+        * b(p, m, i - 1, v ** -i)
+        * b(p, m, i + 1, v ** (-i - 2))
+    )
+
+
+def psi_series_mode(action, p, i, m, sign) -> FactoredExpr:
+    """Coefficient of z^{-m} in the +/- expansion of the action's psi
+    eigenvalue; 0 on sign mismatch."""
+    if sign not in ("+", "-"):
+        raise ActionError("sign must be '+' or '-'")
+    if (sign == "+" and m < 0) or (sign == "-" and m > 0):
+        return action.ctx.zero
+    psi = action.psi_eigenvalue(p, i)
+    if sign == "+":
+        return series_coefficient(psi, AT_INFINITY, m)
+    return series_coefficient(psi, AT_ZERO, -m)
+
+
 class FiniteAction:
     """Operator calculus for a fixed rank n >= 2."""
 
@@ -71,80 +211,25 @@ class FiniteAction:
 
     def f_base_coeff(self, src: FinitePattern, i: int, j: int) -> FactoredExpr:
         """r=0 coefficient of the f-transition raising d_{ij}."""
-        if src.bump(i, j, 1) is None:
-            raise ActionError("invalid f-move at (%d, %d)" % (i, j))
-        ctx = self.ctx
-        v = ctx.v
-        sij = self.s(src, i, j)
-        out = (
-            -(ctx.t[i - 1] ** -1)
-            * v ** (src.degree_entry(i) - src.degree_entry(i - 1) - 1 + i)
-            * sij
-            / (1 - v ** 2)
-        )
-        for k in range(1, i + 1):
-            if k != j:
-                out = out / (1 - sij / self.s(src, i, k))
-        for k in range(1, i):
-            out = out * (1 - sij / self.s(src, i - 1, k))
-        return out
+        return move_coefficient(self.ctx, self.s, "f", src, i, j, 0)
 
     def e_base_coeff(self, src: FinitePattern, i: int, j: int) -> FactoredExpr:
         """r=0 coefficient of the e-transition lowering d_{ij}."""
-        if src.bump(i, j, -1) is None:
-            raise ActionError("invalid e-move at (%d, %d)" % (i, j))
-        ctx = self.ctx
-        v = ctx.v
-        sij = self.s(src, i, j)
-        out = (
-            ctx.t[i] ** -1
-            * v ** (src.degree_entry(i + 1) - src.degree_entry(i) + 1 - i)
-            / (1 - v ** 2)
-        )
-        for k in range(1, i + 1):
-            if k != j:
-                out = out / (1 - self.s(src, i, k) / sij)
-        for k in range(1, i + 2):
-            out = out * (1 - self.s(src, i + 1, k) / sij)
-        return out
+        return move_coefficient(self.ctx, self.s, "e", src, i, j, 0)
 
     def f_mode_coeff(self, src: FinitePattern, i: int, j: int, r: int) -> FactoredExpr:
-        return self.f_base_coeff(src, i, j) * self.f_beta(src, i, j) ** r
+        """Mode-r f coefficient: the base times (s_{ij} v^i)^r."""
+        beta = move_beta(self.s(src, i, j), "f", i)
+        return self.f_base_coeff(src, i, j) * beta ** r
 
     def e_mode_coeff(self, src: FinitePattern, i: int, j: int, r: int) -> FactoredExpr:
-        return self.e_base_coeff(src, i, j) * self.e_beta(src, i, j) ** r
-
-    def f_beta(self, src: FinitePattern, i: int, j: int) -> FactoredExpr:
-        """Spectral parameter s_{ij} v^i of an f-transition."""
-        return self.s(src, i, j) * self.ctx.v ** i
-
-    def e_beta(self, src: FinitePattern, i: int, j: int) -> FactoredExpr:
-        """Spectral parameter s_{ij} v^{i+2} of an e-transition."""
-        return self.s(src, i, j) * self.ctx.v ** (i + 2)
+        """Mode-r e coefficient: the base times (s_{ij} v^{i+2})^r."""
+        beta = move_beta(self.s(src, i, j), "e", i)
+        return self.e_base_coeff(src, i, j) * beta ** r
 
     def transitions(self, kind: str, node: int, src: FinitePattern):
         """All single-box transitions of e/f at the node, with base and beta."""
-        key = (kind, node, src)
-        hit = self._transitions_cache.get(key)
-        if hit is not None:
-            return hit
-        out = []
-        if kind == "f":
-            for j, tgt in neighbors(src, node, 1):
-                out.append(
-                    Transition(j, tgt, self.f_base_coeff(src, node, j),
-                               self.f_beta(src, node, j))
-                )
-        elif kind == "e":
-            for j, tgt in neighbors(src, node, -1):
-                out.append(
-                    Transition(j, tgt, self.e_base_coeff(src, node, j),
-                               self.e_beta(src, node, j))
-                )
-        else:
-            raise ActionError("transitions are for kinds e/f")
-        self._transitions_cache[key] = out
-        return out
+        return move_transitions(self, self.s, kind, node, src)
 
     # -- diagonal series ---------------------------------------------------
 
@@ -154,43 +239,18 @@ class FiniteAction:
             raise ActionError("node out of range")
         key = (p, i)
         hit = self._psi_cache.get(key)
-        if hit is not None:
-            return hit
-        ctx = self.ctx
-        v, z = ctx.v, ctx.z
-        out = ctx.t[i] ** -1 * ctx.t[i - 1] * v ** (
-            p.degree_entry(i + 1) - 2 * p.degree_entry(i) + p.degree_entry(i - 1) - 1
-        )
-        for j in range(1, i + 1):
-            sij = self.s(p, i, j)
-            out = out / (1 - z ** -1 * v ** (i + 2) * sij)
-            out = out / (1 - z ** -1 * v ** i * sij)
-        for j in range(1, i + 2):
-            out = out * (1 - z ** -1 * v ** (i + 2) * self.s(p, i + 1, j))
-        for j in range(1, i):
-            out = out * (1 - z ** -1 * v ** i * self.s(p, i - 1, j))
-        self._psi_cache[key] = out
-        return out
+        if hit is None:
+            hit = self._psi_cache[key] = psi_value(
+                self.ctx, self.s, p, i, 0, self.ctx.one)
+        return hit
 
     def psi_mode(self, p: FinitePattern, i: int, m: int, sign: str) -> FactoredExpr:
         """Coefficient of z^{-m} in the +/- expansion; 0 on sign mismatch."""
-        if sign not in ("+", "-"):
-            raise ActionError("sign must be '+' or '-'")
-        if (sign == "+" and m < 0) or (sign == "-" and m > 0):
-            return self.ctx.zero
-        psi = self.psi_eigenvalue(p, i)
-        if sign == "+":
-            return series_coefficient(psi, AT_INFINITY, m)
-        return series_coefficient(psi, AT_ZERO, -m)
+        return psi_series_mode(self, p, i, m, sign)
 
     def b_series_eigenvalue(self, p: FinitePattern, m: int) -> FactoredExpr:
         """Eigenvalue of the m-th tautological series: prod_{j<=m}(1 - z^{-1}s_{mj})."""
-        if not (0 <= m <= self.n):
-            raise ActionError("row out of range")
-        out = self.ctx.one
-        for j in range(1, m + 1):
-            out = out * (1 - self.ctx.z ** -1 * self.s(p, m, j))
-        return out
+        return self.b_quotient_eigenvalue(p, 0, m, self.ctx.one)
 
     def b_quotient_eigenvalue(
         self, p: FinitePattern, m: int, i: int, scale: FactoredExpr
@@ -198,32 +258,13 @@ class FiniteAction:
         """Eigenvalue of the quotient series b_{mi} at argument z*scale."""
         if not (0 <= m <= i <= self.n):
             raise ActionError("need 0 <= m <= i <= n")
-        ctx = self.ctx
-        zs = ctx.z * scale
-        num = ctx.one
-        for j in range(1, i + 1):
-            num = num * (1 - zs ** -1 * self.s(p, i, j))
-        den = ctx.one
-        for j in range(1, m + 1):
-            den = den * (1 - zs ** -1 * self.s(p, m, j))
-        return num / den
+        return b_quotient(self.ctx, self.s, p, m, i, scale, 0)
 
     def psi_via_quotients(self, p: FinitePattern, i: int, m: int) -> FactoredExpr:
         """psi eigenvalue computed through the b_{m*} quotient route (m < i)."""
         if not (0 <= m < i):
             raise ActionError("need 0 <= m < i")
-        ctx = self.ctx
-        v = ctx.v
-        pref = ctx.t[i] ** -1 * ctx.t[i - 1] * v ** (
-            p.degree_entry(i + 1) - 2 * p.degree_entry(i) + p.degree_entry(i - 1) - 1
-        )
-        return (
-            pref
-            / self.b_quotient_eigenvalue(p, m, i, v ** (-i - 2))
-            / self.b_quotient_eigenvalue(p, m, i, v ** -i)
-            * self.b_quotient_eigenvalue(p, m, i - 1, v ** -i)
-            * self.b_quotient_eigenvalue(p, m, i + 1, v ** (-i - 2))
-        )
+        return psi_from_quotients(self, p, i, m, self.ctx.one)
 
     def psi_via_a_series(self, p: FinitePattern, i: int) -> FactoredExpr:
         """psi eigenvalue from the a-series product (the m=0 quotient route)."""
@@ -240,7 +281,7 @@ class FiniteAction:
             * ctx.t[i - 1] ** -1
             * v ** -1
             / (v ** 2 - 1)
-            * v ** (p.degree_entry(i + 1) - p.degree_entry(i - 1))
+            * v ** (p.row_sum(i + 1) - p.row_sum(i - 1))
         )
         total = ctx.zero
         for j in range(1, i + 1):
@@ -272,7 +313,7 @@ class FiniteAction:
         if not (1 <= i <= self.n):
             raise ActionError("Cartan node out of range")
         return self.ctx.t[i - 1] * self.ctx.v ** (
-            p.degree_entry(i - 1) - p.degree_entry(i) + i - 1
+            p.row_sum(i - 1) - p.row_sum(i) + i - 1
         )
 
     # -- independent zero-mode formulas ------------------------------------
@@ -286,7 +327,7 @@ class FiniteAction:
         dij = src.d(i, j)
         out = (
             -(ctx.t[i - 1] ** -1)
-            * v ** (src.degree_entry(i) - src.degree_entry(i - 1) - 1 + i)
+            * v ** (src.row_sum(i) - src.row_sum(i - 1) - 1 + i)
             * ctx.t[j - 1] ** 2
             * v ** (-2 * dij)
             / (1 - v ** 2)
@@ -317,7 +358,7 @@ class FiniteAction:
         dij = src.d(i, j)
         out = (
             ctx.t[i] ** -1
-            * v ** (src.degree_entry(i + 1) - src.degree_entry(i) + 1 - i)
+            * v ** (src.row_sum(i + 1) - src.row_sum(i) + 1 - i)
             / (1 - v ** 2)
         )
         for k in range(1, i + 1):

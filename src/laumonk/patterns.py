@@ -65,7 +65,7 @@ class FinitePattern:
     def degree(self):
         return tuple(sum(r) for r in self.rows)
 
-    def degree_entry(self, i: int) -> int:
+    def row_sum(self, i: int) -> int:
         """Row sum d_i with the boundary convention d_0 = d_n = 0."""
         if i in (0, self.n):
             return 0

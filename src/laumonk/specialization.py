@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .exact import ExactError, FactoredExpr, LaurentContext
-from .finite_action import ActionError
+from .finite_action import ActionError, column_ratios, move_beta, shaped
 from .patterns import AffinePattern, enumerate_affine
 from .toroidal_action import ToroidalAction
 
@@ -226,106 +226,44 @@ class RenormalizedAction:
         self.action = ToroidalAction(w.n)
         self.ctx = self.action.ctx
 
-    def _pw(self, p, i, j):
-        from .patterns import p_weight
-
-        return p_weight(self.ctx, p, i, j)
+    def _parts(self, kind: str, src: AffinePattern, i: int, j: int, r: int):
+        """(monomial prefactor, numerator, denominator monomials) of the
+        renormalized coefficient: the f-move reads the larger pattern with
+        the e-shaped products, the e-move the smaller one with the f-shaped
+        products."""
+        if kind not in ("e", "f"):
+            raise ActionError("kind must be e or f")
+        read = src.bump(i, j, 1 if kind == "f" else -1)
+        if read is None:
+            raise ActionError("invalid %s-move" % kind)
+        shape, rows = ("e", (i, i + 1)) if kind == "f" else ("f", (i - 1, i))
+        lo = self.action._cut(read, rows, j - 1)
+        pij, num, den = column_ratios(self.action.p, shape, read, i, j, lo)
+        ctx = self.ctx
+        if kind == "f":
+            pref = -(pij * ctx.v ** (
+                read.row_sum(i) - read.row_sum(i - 1) + i)) / ctx.t_res(i)
+        else:
+            pref = ctx.v ** (
+                read.row_sum(i + 1) - read.row_sum(i) - i) / ctx.t_res(i + 1)
+        if r:
+            pref = pref * move_beta(pij, shape, i) ** r
+        return pref, num, den
 
     def coefficient(self, kind: str, src: AffinePattern, i: int, j: int,
                     r: int) -> FactoredCoefficient:
         """Factored specialized coefficient of the transition from src
         moving the box at cell (i, j) (up for f, down for e)."""
-        n = self.w.n
-        smap = self.smap
-        if kind == "f":
-            big = src.bump(i, j, 1)
-            if big is None:
-                raise ActionError("invalid f-move")
-            read = big
-            pij = self._pw(read, i, j)
-            sign = -1
-            v_power = (
-                read.row_sum(i) - read.row_sum(i - 1) - 2 + i
-                + smap.monomial_exponent(pij) + 2
-                + r * (smap.monomial_exponent(pij) + i + 2)
-                - smap.t_exponents[(i - 1) % n]
-            )
-            num, den = [], [2]  # the (1 - v^2) factor
-            cut = min(read.support_min_col((i, i + 1)) - 1, j - 1)
-            for k in range(cut + 1, i + 2):
-                num.append(
-                    smap.monomial_exponent(self._pw(read, i + 1, k) / pij)
-                )
-            for k in range(cut + 1, i + 1):
-                if k != j:
-                    den.append(
-                        smap.monomial_exponent(self._pw(read, i, k) / pij)
-                    )
-        elif kind == "e":
-            small = src.bump(i, j, -1)
-            if small is None:
-                raise ActionError("invalid e-move")
-            read = small
-            pij = self._pw(read, i, j)
-            sign = 1
-            v_power = (
-                read.row_sum(i + 1) - read.row_sum(i) - i
-                + r * (smap.monomial_exponent(pij) + i)
-                - smap.t_exponents[i % n]
-            )
-            num, den = [], [2]
-            cut = min(read.support_min_col((i - 1, i)) - 1, i - 1, j - 1)
-            for k in range(cut + 1, i):
-                num.append(
-                    smap.monomial_exponent(pij / self._pw(read, i - 1, k))
-                )
-            for k in range(cut + 1, i + 1):
-                if k != j:
-                    den.append(
-                        smap.monomial_exponent(pij / self._pw(read, i, k))
-                    )
-        else:
-            raise ActionError("kind must be e or f")
-        return FactoredCoefficient(smap, sign, v_power, tuple(num), tuple(den))
+        pref, num, den = self._parts(kind, src, i, j, r)
+        exponent = self.smap.monomial_exponent
+        return FactoredCoefficient(
+            self.smap, pref.as_monomial()[0], exponent(pref),
+            tuple(map(exponent, num)), tuple(map(exponent, den)))
 
     def symbolic_coefficient(self, kind: str, src: AffinePattern, i: int,
                              j: int, r: int) -> FactoredExpr:
         """The same renormalized coefficient before specialization."""
-        ctx = self.ctx
-        v = ctx.v
-        n = self.w.n
-        if kind == "f":
-            read = src.bump(i, j, 1)
-            pij = self._pw(read, i, j)
-            out = (
-                -(ctx.t_res(i) ** -1)
-                * v ** (read.row_sum(i) - read.row_sum(i - 1) - 2 + i)
-                * pij * v ** 2
-                * (pij * v ** (i + 2)) ** r
-                / (1 - v ** 2)
-            )
-            cut = min(read.support_min_col((i, i + 1)) - 1, j - 1)
-            for k in range(cut + 1, i + 2):
-                out = out * (1 - self._pw(read, i + 1, k) / pij)
-            for k in range(cut + 1, i + 1):
-                if k != j:
-                    out = out / (1 - self._pw(read, i, k) / pij)
-            return out
-        read = src.bump(i, j, -1)
-        pij = self._pw(read, i, j)
-        out = (
-            ctx.t_res(i + 1) ** -1
-            * v ** (read.row_sum(i + 1) - read.row_sum(i) - i)
-            * (pij * v ** i) ** r
-            / (1 - v ** 2)
-        )
-        cut = min(read.support_min_col((i - 1, i)) - 1, i - 1, j - 1)
-        for k in range(cut + 1, i):
-            out = out * (1 - pij / self._pw(read, i - 1, k))
-        for k in range(cut + 1, i + 1):
-            if k != j:
-                out = out / (1 - pij / self._pw(read, i, k))
-        return out
+        return shaped(self.ctx, *self._parts(kind, src, i, j, r))
 
 
 def _closure_block(w: LevelWeight, ren: RenormalizedAction, deg):

@@ -1,11 +1,14 @@
 """Toroidal operators on the affine module in the fixed-point basis.
 
-Same coefficient shapes as the finite module with p-weights
-p_{ij} = t_{(j mod n)}^2 v^{-2 d_{ij}} u^{2 ceil(j/n)}, except that the
-products over columns are formally infinite and are DEFINED by their
-telescoped finite values: below the support of the involved rows the
-weights are row-independent and factor pairs cancel exactly.  Every
-product accepts an explicit cutoff so cutoff-independence is testable.
+The coefficients come from the shared kernel in `finite_action`
+(`column_ratios`, `shaped` and the f/e, psi and b-quotient builders on top
+of them), called with the p-weights
+p_{ij} = t_{(j mod n)}^2 v^{-2 d_{ij}} u^{2 ceil(j/n)}, a u^2 twist on the
+psi prefactor, and a telescoped column range.  The products over columns
+are formally infinite and are DEFINED by their telescoped finite values:
+below the support of the involved rows the weights are row-independent and
+factor pairs cancel exactly.  Every product accepts an explicit cutoff so
+cutoff-independence is testable.
 
 Node conventions: operators live at node representatives 1..n; the node-0
 family needed by the boundary relations is expressed through the shifted
@@ -17,11 +20,11 @@ by -n multiplies the mode-r coefficient by exactly (v^n u^2)^{-r}).
 
 from __future__ import annotations
 
-from math import prod
-
-from .exact import AT_INFINITY, AT_ZERO, FactoredExpr, LaurentContext, \
+from .exact import AT_INFINITY, FactoredExpr, LaurentContext, \
     series_coefficient
-from .finite_action import ActionError, Transition
+from .finite_action import ActionError, b_quotient, move_beta, \
+    move_coefficient, move_transitions, psi_from_quotients, psi_series_mode, \
+    psi_value
 from .patterns import AffinePattern, ceil_div, p_weight
 
 
@@ -42,158 +45,61 @@ class ToroidalAction:
     def p(self, pat: AffinePattern, i: int, j: int) -> FactoredExpr:
         return p_weight(self.ctx, pat, i, j)
 
-    def _default_cutoff(self, pat: AffinePattern, rows, bound: int) -> int:
-        """Largest admissible telescoping cutoff: below the involved rows'
-        support and below every product bound (so no unpaired tail factor
-        is dropped)."""
-        return min(pat.support_min_col(rows) - 1, bound)
+    def _cut(self, pat: AffinePattern, rows, bound: int, cutoff=None) -> int:
+        """Telescoping cutoff of a product over the given rows: by default
+        the largest admissible one, below the rows' support and below the
+        product bound (so no unpaired tail factor is dropped); an explicit
+        cutoff must sit at or below it."""
+        cut = min(pat.support_min_col(rows) - 1, bound)
+        if cutoff is None:
+            return cut
+        if cutoff > cut:
+            raise ActionError("cutoff must sit below the support")
+        return cutoff
 
     # -- matrix coefficients -------------------------------------------------
 
     def f_base_coeff(self, src: AffinePattern, i: int, j: int, cutoff=None):
         """r=0 f-coefficient at node index i (any integer), column j <= i."""
-        if src.bump(i, j, 1) is None:
-            raise ActionError("invalid f-move at (%d, %d)" % (i, j))
-        ctx = self.ctx
-        v = ctx.v
-        cut = self._default_cutoff(src, (i - 1, i), min(i - 1, j - 1))
-        if cutoff is not None:
-            if cutoff > cut:
-                raise ActionError("cutoff must sit below the support")
-            cut = cutoff
-        pij = self.p(src, i, j)
-        pref = (
-            -(self.ctx.t_res(i) ** -1)
-            * v ** (src.row_sum(i) - src.row_sum(i - 1) - 1 + i)
-            * pij
-        )
-        num = [1 - pij / self.p(src, i - 1, k) for k in range(cut + 1, i)]
-        den = [1 - v ** 2]
-        den += [
-            1 - pij / self.p(src, i, k)
-            for k in range(cut + 1, i + 1)
-            if k != j
-        ]
-        return prod(num, start=pref) / prod(den, start=self.ctx.one)
+        lo = self._cut(src, (i - 1, i), j - 1, cutoff)
+        return move_coefficient(self.ctx, self.p, "f", src, i, j, lo)
 
     def e_base_coeff(self, src: AffinePattern, i: int, j: int, cutoff=None):
         """r=0 e-coefficient at node index i (any integer), column j <= i."""
-        if src.bump(i, j, -1) is None:
-            raise ActionError("invalid e-move at (%d, %d)" % (i, j))
-        ctx = self.ctx
-        v = ctx.v
-        cut = self._default_cutoff(src, (i, i + 1), j - 1)
-        if cutoff is not None:
-            if cutoff > cut:
-                raise ActionError("cutoff must sit below the support")
-            cut = cutoff
-        pij = self.p(src, i, j)
-        pref = self.ctx.t_res(i + 1) ** -1 * v ** (
-            src.row_sum(i + 1) - src.row_sum(i) + 1 - i
-        )
-        num = [1 - self.p(src, i + 1, k) / pij for k in range(cut + 1, i + 2)]
-        den = [1 - v ** 2]
-        den += [
-            1 - self.p(src, i, k) / pij
-            for k in range(cut + 1, i + 1)
-            if k != j
-        ]
-        return prod(num, start=pref) / prod(den, start=self.ctx.one)
-
-    def f_beta(self, src: AffinePattern, i: int, j: int) -> FactoredExpr:
-        return self.p(src, i, j) * self.ctx.v ** i
-
-    def e_beta(self, src: AffinePattern, i: int, j: int) -> FactoredExpr:
-        return self.p(src, i, j) * self.ctx.v ** (i + 2)
-
-    def f_mode_coeff(self, src, i, j, r, cutoff=None):
-        return self.f_base_coeff(src, i, j, cutoff) * self.f_beta(src, i, j) ** r
-
-    def e_mode_coeff(self, src, i, j, r, cutoff=None):
-        return self.e_base_coeff(src, i, j, cutoff) * self.e_beta(src, i, j) ** r
+        lo = self._cut(src, (i, i + 1), j - 1, cutoff)
+        return move_coefficient(self.ctx, self.p, "e", src, i, j, lo)
 
     def transitions(self, kind: str, node: int, src: AffinePattern):
         """Single-box transitions at a node representative in 1..n."""
         if not (1 <= node <= self.n):
             raise ActionError("node representative out of range")
-        key = (kind, node, src)
-        hit = self._transitions_cache.get(key)
-        if hit is not None:
-            return hit
-        out = []
-        direction = 1 if kind == "f" else -1
-        for m in range(src.max_length() + 1):
-            j = node - m
-            tgt = src.bump(node, j, direction)
-            if tgt is None:
-                continue
-            if kind == "f":
-                out.append(
-                    Transition(j, tgt, self.f_base_coeff(src, node, j),
-                               self.f_beta(src, node, j))
-                )
-            else:
-                out.append(
-                    Transition(j, tgt, self.e_base_coeff(src, node, j),
-                               self.e_beta(src, node, j))
-                )
-        self._transitions_cache[key] = out
-        return out
+        return move_transitions(self, self.p, kind, node, src)
 
     # -- diagonal series -----------------------------------------------------
 
     def psi_eigenvalue(self, p: AffinePattern, i: int, cutoff=None) -> FactoredExpr:
-        """Telescoped psi eigenvalue at node representative i in 1..n."""
+        """Telescoped psi eigenvalue at node representative i in 1..n.
+
+        The u^2 twist is forced by the commutator relation: an f-coefficient
+        carries the line-bundle weight p_{ij} (u^2 on the principal column
+        window) while e-coefficients carry only ratios.
+        """
         if not (1 <= i <= self.n):
             raise ActionError("node representative out of range")
-        key = (p, i)
-        if cutoff is None:
-            hit = self._psi_cache.get(key)
-            if hit is not None:
-                return hit
-        ctx = self.ctx
-        v, z = ctx.v, ctx.z
-        cut = self._default_cutoff(p, (i - 1, i, i + 1), i - 1)
-        if cutoff is not None:
-            if cutoff > cut:
-                raise ActionError("cutoff must sit below the support")
-            cut = cutoff
-        # the u^2 scalar is forced by the commutator relation: an
-        # f-coefficient carries the line-bundle weight p_{ij} (u^2 on the
-        # principal column window) while e-coefficients carry only ratios
-        pref = ctx.u ** 2 * ctx.t_res(i + 1) ** -1 * ctx.t_res(i) * v ** (
-            p.row_sum(i + 1) - 2 * p.row_sum(i) + p.row_sum(i - 1) - 1
-        )
-        num = [
-            1 - z ** -1 * v ** (i + 2) * self.p(p, i + 1, j)
-            for j in range(cut + 1, i + 2)
-        ]
-        num += [
-            1 - z ** -1 * v ** i * self.p(p, i - 1, j) for j in range(cut + 1, i)
-        ]
-        den = []
-        for j in range(cut + 1, i + 1):
-            pij = self.p(p, i, j)
-            den.append(1 - z ** -1 * v ** (i + 2) * pij)
-            den.append(1 - z ** -1 * v ** i * pij)
-        out = prod(num, start=pref) / prod(den, start=ctx.one)
-        if cutoff is None:
-            self._psi_cache[key] = out
-        return out
+        key = (p, i, cutoff)
+        hit = self._psi_cache.get(key)
+        if hit is None:
+            lo = self._cut(p, (i - 1, i, i + 1), i - 1, cutoff)
+            hit = self._psi_cache[key] = psi_value(
+                self.ctx, self.p, p, i, lo, self.ctx.u ** 2)
+        return hit
 
     def psi_hat_eigenvalue(self, p: AffinePattern) -> FactoredExpr:
         """Node-0 series: psi_n evaluated at z v^n u^2."""
         return self.psi_eigenvalue(p, self.n).scale_z(self.hat_scale)
 
     def psi_mode(self, p: AffinePattern, i: int, m: int, sign: str) -> FactoredExpr:
-        if sign not in ("+", "-"):
-            raise ActionError("sign must be '+' or '-'")
-        if (sign == "+" and m < 0) or (sign == "-" and m > 0):
-            return self.ctx.zero
-        psi = self.psi_eigenvalue(p, i)
-        if sign == "+":
-            return series_coefficient(psi, AT_INFINITY, m)
-        return series_coefficient(psi, AT_ZERO, -m)
+        return psi_series_mode(self, p, i, m, sign)
 
     def b_quotient_eigenvalue(
         self, p: AffinePattern, m: int, i: int, scale: FactoredExpr, cutoff=None
@@ -201,35 +107,14 @@ class ToroidalAction:
         """Telescoped eigenvalue of the quotient series for rows m <= i at z*scale."""
         if m > i:
             raise ActionError("need m <= i")
-        if m == i:
-            return self.ctx.one
-        ctx = self.ctx
-        zs = ctx.z * scale
-        cut = self._default_cutoff(p, (m, i), m)
-        if cutoff is not None:
-            if cutoff > cut:
-                raise ActionError("cutoff must sit below the support")
-            cut = cutoff
-        num = [1 - zs ** -1 * self.p(p, i, j) for j in range(cut + 1, i + 1)]
-        den = [1 - zs ** -1 * self.p(p, m, j) for j in range(cut + 1, m + 1)]
-        return prod(num, start=ctx.one) / prod(den, start=ctx.one)
+        lo = self._cut(p, (m, i), m, cutoff)
+        return b_quotient(self.ctx, self.p, p, m, i, scale, lo)
 
     def psi_via_quotients(self, p: AffinePattern, i: int, m: int) -> FactoredExpr:
         """psi eigenvalue assembled from the four m-relative quotient series."""
         if m >= i:
             raise ActionError("need m < i")
-        ctx = self.ctx
-        v = ctx.v
-        pref = ctx.u ** 2 * ctx.t_res(i + 1) ** -1 * ctx.t_res(i) * v ** (
-            p.row_sum(i + 1) - 2 * p.row_sum(i) + p.row_sum(i - 1) - 1
-        )
-        return (
-            pref
-            / self.b_quotient_eigenvalue(p, m, i, v ** (-i - 2))
-            / self.b_quotient_eigenvalue(p, m, i, v ** -i)
-            * self.b_quotient_eigenvalue(p, m, i - 1, v ** -i)
-            * self.b_quotient_eigenvalue(p, m, i + 1, v ** (-i - 2))
-        )
+        return psi_from_quotients(self, p, i, m, self.ctx.u ** 2)
 
     # -- hat shift and node translation ---------------------------------------
 
@@ -250,19 +135,13 @@ class ToroidalAction:
         """
         if kind == "f":
             ext = self.hat_scale ** -(ceil_div(node, self.n) - 1)
-            return (
-                ext
-                * self.f_base_coeff(src, node, j)
-                * self.f_beta(src, node, j) ** r
-            )
-        if kind == "e":
+            base = self.f_base_coeff(src, node, j)
+        elif kind == "e":
             ext = self.ctx.v ** (self.n * (ceil_div(node + 1, self.n) - 1))
-            return (
-                ext
-                * self.e_base_coeff(src, node, j)
-                * self.e_beta(src, node, j) ** r
-            )
-        raise ActionError("kind must be e or f")
+            base = self.e_base_coeff(src, node, j)
+        else:
+            raise ActionError("kind must be e or f")
+        return ext * base * move_beta(self.p(src, node, j), kind, node) ** r
 
     # -- Chevalley generators ---------------------------------------------------
 

@@ -76,7 +76,7 @@ def test_psi_zero_modes(A2, A3):
         ctx = A.ctx
         for p in all_patterns(A.n, 3):
             for i in range(1, A.n):
-                d = p.degree_entry
+                d = p.row_sum
                 plus = ctx.t[i - 1] * ctx.t[i] ** -1 * ctx.v ** (
                     d(i + 1) - 2 * d(i) + d(i - 1) - 1)
                 assert A.psi_mode(p, i, 0, "+") == plus

@@ -2,6 +2,8 @@ import itertools
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from laumonk.exact import LaurentContext
 from laumonk.patterns import (
@@ -182,3 +184,84 @@ def test_rank_bounds():
         FinitePattern(1, [])
     with pytest.raises(PatternError):
         AffinePattern(1, [()])
+
+
+# -- neighbors against enumeration (hypothesis) --------------------------------
+
+SETTINGS = settings(max_examples=60, deadline=None, derandomize=True,
+                    database=None,
+                    suppress_health_check=[HealthCheck.too_slow])
+
+
+@st.composite
+def finite_cases(draw):
+    """(pattern, node) with n in 2..4 and row sums at most 2."""
+    n = draw(st.integers(2, 4))
+    deg = tuple(draw(st.lists(st.integers(0, 2), min_size=n - 1,
+                              max_size=n - 1)))
+    pat = draw(st.sampled_from(enumerate_finite(n, deg)))
+    return pat, draw(st.integers(1, n - 1))
+
+
+@st.composite
+def affine_cases(draw):
+    """(pattern, node representative) with n in 3..4 and at most 3 boxes."""
+    n = draw(st.integers(3, 4))
+    pat = draw(st.sampled_from(
+        enumerate_affine_total(n, draw(st.integers(0, 3)))))
+    return pat, draw(st.integers(1, n))
+
+
+def _contains_one_box_less(big: AffinePattern, small: AffinePattern) -> bool:
+    return big.total() == small.total() + 1 and all(
+        small.part(res, m) <= big.part(res, m)
+        for res in range(1, big.n + 1)
+        for m in range(small.max_length()))
+
+
+@SETTINGS
+@given(finite_cases())
+def test_neighbors_finite_match_enumeration(case):
+    pat, i = case
+    deg = list(pat.degree())
+    deg[i - 1] += 1
+    found = set()
+    for q in enumerate_finite(pat.n, deg):
+        diffs = [(a, b) for a in range(1, pat.n) for b in range(1, a + 1)
+                 if q.d(a, b) != pat.d(a, b)]
+        if len(diffs) == 1 and q.d(*diffs[0]) == pat.d(*diffs[0]) + 1:
+            found.add((diffs[0][1], q))
+    assert set(neighbors(pat, i, 1)) == found
+
+
+@SETTINGS
+@given(affine_cases())
+def test_neighbors_affine_match_enumeration(case):
+    pat, i = case
+    deg = list(pat.degree())
+    deg[i % pat.n] += 1
+    found = {q for q in enumerate_affine(pat.n, deg)
+             if _contains_one_box_less(q, pat)}
+    moves = neighbors(pat, i, 1)
+    assert {q for _, q in moves} == found
+    assert all(pat.bump(i, j, 1) == q for j, q in moves)
+
+
+@SETTINGS
+@given(finite_cases())
+def test_bump_up_then_down_finite(case):
+    pat, i = case
+    for j in range(1, i + 1):
+        up = pat.bump(i, j, 1)
+        if up is not None:
+            assert up.bump(i, j, -1) == pat
+
+
+@SETTINGS
+@given(affine_cases())
+def test_bump_up_then_down_affine(case):
+    pat, i = case
+    for j in range(i - pat.max_length(), i + 1):
+        up = pat.bump(i, j, 1)
+        if up is not None:
+            assert up.bump(i, j, -1) == pat

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from laumonk.exact import LaurentContext
+from laumonk.finite_action import ActionError
 from laumonk.patterns import AffinePattern, enumerate_affine_total
 from laumonk.specialization import (
     LevelWeight,
@@ -197,3 +198,18 @@ def test_block_matrices_match_generic_specialization():
         sym = ren.symbolic_coefficient(entry["kind"], src, node, node,
                                        entry["mode"])
         assert entry["value"] == specialize(sym, w).to_string()
+
+
+@pytest.mark.parametrize("method", ["coefficient", "symbolic_coefficient"])
+def test_renormalized_input_errors(method):
+    ren = RenormalizedAction(LevelWeight(3, 1, (0, 0, 0)))
+    coefficient = getattr(ren, method)
+    empty = AffinePattern.empty(3)
+    box = empty.bump(1, 1, 1)
+    with pytest.raises(ActionError):
+        coefficient("e", empty, 1, 1, 0)  # no box to remove
+    with pytest.raises(ActionError):
+        coefficient("f", box, 1, 2, 0)  # column above the diagonal
+    for kind in ("psi_plus", "x"):
+        with pytest.raises(ActionError):
+            coefficient(kind, box, 1, 1, 0)

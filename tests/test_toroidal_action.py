@@ -1,8 +1,9 @@
 import pytest
 
 from laumonk.exact import AT_INFINITY, expand_series
-from laumonk.finite_action import ActionError
-from laumonk.patterns import AffinePattern, enumerate_affine_total
+from laumonk.finite_action import ActionError, FiniteAction
+from laumonk.patterns import AffinePattern, FinitePattern, \
+    enumerate_affine_total
 from laumonk.toroidal_action import ToroidalAction
 
 
@@ -150,3 +151,15 @@ def test_chevalley_node0_ratios_constant(T, pats):
     assert len(seen["f"]) == 1
     assert len(seen["k"]) == 1
     assert len(seen["e"]) <= 1  # e-moves at node n need deep enough patterns
+
+
+@pytest.mark.parametrize("action, src", [
+    (FiniteAction(3), FinitePattern(3, [[1], [0, 0]])),
+    (ToroidalAction(3), AffinePattern(3, [(1,), (1,), ()])),
+], ids=["finite", "affine"])
+def test_transitions_reject_unknown_kinds(action, src):
+    assert action.transitions("e", 1, src)  # e-moves exist at this node
+    for kind in ("psi_plus", "t_cartan", "x"):
+        with pytest.raises(ActionError):
+            action.transitions(kind, 1, src)
+    assert {key[0] for key in action._transitions_cache} == {"e"}
