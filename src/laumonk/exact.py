@@ -21,10 +21,14 @@ with the variables ordered (t_1..t_n, u, v, z).  Values come in two types:
 * `LaurentExpr`, the canonical form: a reduced numerator/denominator pair
   of sympy sparse polynomials under graded-lexicographic order, denominator
   sign-normalized, so equality of values is equality of representations.
-  `FactoredExpr.reduce()` produces it where reduced text is emitted; its
-  `to_string` is the serialization, and Laurent series expansion in z works
-  on it.  Its reductions go through `_cancel`, which falls back to the
+  It is the emitted text form: `FactoredExpr.reduce()` produces it where
+  reduced text is emitted, and its `to_string` is the serialization.  Its
+  field operations and `expand_series` serve the tests as an independent
+  reference.  Its reductions go through `_cancel`, which falls back to the
   modular gcd where sympy's heuristic gcd gives up.
+
+Psi modes come from `series_coefficient`, which expands a `FactoredExpr`
+factor by factor with no gcd.
 
 Laurent monomials with negative exponents are ordinary field elements
 (t^-2 is 1/t^2).  No floating point anywhere.
@@ -398,22 +402,6 @@ class FactoredExpr:
             self._term = terms[0] if terms else None
         self._reduced = None
 
-    @classmethod
-    def from_laurent(cls, expr: "LaurentExpr") -> "FactoredExpr":
-        """The reduced pair as numerator factor over denominator factor."""
-        ctx = expr.ctx
-        raw = expr.raw
-        if not raw:
-            return ctx.zero
-
-        def term(poly):
-            return ctx._poly_term({_pack(e): _ground_to_fraction(c)
-                                   for e, c in poly.terms()})
-
-        nc, nm, nf = term(raw.numer)
-        dc, dm, df = term(raw.denom)
-        return cls(ctx, ((_qdiv(nc, dc), nm - dm, _merge(nf, df, -1)),))
-
     def _single(self):
         """This value as one term, or None if it is zero (cached)."""
         t = self._term
@@ -428,10 +416,6 @@ class FactoredExpr:
             return other
         if isinstance(other, (int, Fraction)):
             return self.ctx.rational(other)
-        if isinstance(other, LaurentExpr):
-            if other.ctx is not self.ctx:
-                raise ExactError("mixing expressions from different contexts")
-            return FactoredExpr.from_laurent(other)
         return NotImplemented
 
     # -- ring operations ----------------------------------------------------
@@ -536,8 +520,7 @@ class FactoredExpr:
     def __eq__(self, other):
         if other is self:
             return True
-        if isinstance(other, (FactoredExpr, LaurentExpr)) \
-                and other.ctx is not self.ctx:
+        if isinstance(other, FactoredExpr) and other.ctx is not self.ctx:
             return False
         o = self._coerce(other)
         if o is NotImplemented:
@@ -955,99 +938,19 @@ def _poly_to_string(ctx, poly) -> str:
     return out
 
 
-def _poly_from_string(ctx, text: str):
-    text = text.strip()
-    if text == "0":
-        return ctx.ring.zero
-    text = text.replace(" - ", " + -")
-    poly = ctx.ring.zero
-    for chunk in text.split(" + "):
-        chunk = chunk.strip()
-        neg = chunk.startswith("-")
-        if neg:
-            chunk = chunk[1:]
-        coeff = Fraction(1)
-        exps = [0] * len(ctx.var_names)
-        for factor in chunk.split("*"):
-            factor = factor.strip()
-            if "^" in factor:
-                name, _, e = factor.partition("^")
-                exps[ctx.var_names.index(name)] += int(e)
-            elif factor in ctx.var_names:
-                exps[ctx.var_names.index(factor)] += 1
-            else:
-                coeff *= Fraction(factor)
-        if neg:
-            coeff = -coeff
-        poly += ctx.ring.from_terms([(tuple(exps), _to_ground(coeff))])
-    return poly
-
-
-def expr_from_string(ctx: LaurentContext, text: str) -> LaurentExpr:
-    """Inverse of LaurentExpr.to_string (exact round-trip)."""
-    text = text.strip()
-    if text.startswith("(") and ") / (" in text:
-        numtext, _, dentext = text[1:-1].partition(") / (")
-        num = _poly_from_string(ctx, numtext)
-        den = _poly_from_string(ctx, dentext)
-    else:
-        num = _poly_from_string(ctx, text)
-        den = ctx.ring.one
-    if not den:
-        raise DivisionByZeroExpr("zero denominator in serialized form")
-    return LaurentExpr(ctx, ctx._frac(num, den))
-
-
-class LaurentSeries:
-    """Truncated expansion of a rational function at z=infinity or z=0.
-
-    Coefficient list holds c_0..c_order where the series is
-    sum_r c_r z^{-r} (at_infinity) or sum_r c_r z^{r} (at_zero).
-    """
-
-    __slots__ = ("ctx", "direction", "order", "coefficients")
-
-    def __init__(self, ctx, direction, order, coefficients):
-        if direction not in (AT_INFINITY, AT_ZERO):
-            raise ExactError("bad direction %r" % direction)
-        if len(coefficients) != order + 1:
-            raise ExactError("coefficient count does not match order")
-        self.ctx = ctx
-        self.direction = direction
-        self.order = order
-        self.coefficients = list(coefficients)
-
-    def coefficient(self, r: int) -> LaurentExpr:
-        """Coefficient of z^{-r} (at_infinity) resp. z^{r} (at_zero)."""
-        if r < 0 or r > self.order:
-            raise ExactError("coefficient %d beyond truncation order" % r)
-        return self.coefficients[r]
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, LaurentSeries)
-            and self.direction == other.direction
-            and self.order == other.order
-            and self.coefficients == other.coefficients
-        )
-
-    def __repr__(self):
-        return "LaurentSeries(%s, order=%d, %s)" % (
-            self.direction,
-            self.order,
-            [str(c) for c in self.coefficients],
-        )
-
-
-def expand_series(f, direction: str, order: int) -> LaurentSeries:
+def expand_series(f, direction: str, order: int) -> list:
     """Laurent expansion of f at z=infinity (powers z^{-r}) or z=0 (z^{r}).
 
-    `f` is reduced first; the coefficients are `LaurentExpr` values.  The
-    denominator, read as a polynomial in z resp. z^{-1}, must have an
-    invertible constant term; at infinity the numerator's z-degree must not
-    exceed the denominator's (otherwise the expansion is not a pure
-    z^{-r} series and NotExpandable is raised).
+    Returns the coefficients c_0..c_order of sum_r c_r z^{-r} (at infinity)
+    resp. sum_r c_r z^{r} (at zero) as `LaurentExpr` values; `f` is reduced
+    first.  The denominator, read as a polynomial in z resp. z^{-1}, must
+    have an invertible constant term; at infinity the numerator's z-degree
+    must not exceed the denominator's (otherwise the expansion is not a pure
+    z^{-r} series and NotExpandable is raised).  This is the reference that
+    tests hold `series_coefficient` to.
     """
+    if direction not in (AT_INFINITY, AT_ZERO):
+        raise ExactError("bad direction %r" % direction)
     if order < 0:
         raise ExactError("order must be nonnegative")
     f = f.reduce()
@@ -1055,7 +958,7 @@ def expand_series(f, direction: str, order: int) -> LaurentSeries:
     zero = LaurentExpr(ctx, ctx.field.zero)
     numc, denc = f.z_coeffs()
     if not numc:
-        return LaurentSeries(ctx, direction, order, [zero] * (order + 1))
+        return [zero] * (order + 1)
     num_degs = sorted(numc)
     den_degs = sorted(denc)
     if direction == AT_ZERO:
@@ -1084,33 +987,35 @@ def expand_series(f, direction: str, order: int) -> LaurentSeries:
             if not db.is_zero:
                 acc = acc - db * coeffs[r - b]
         coeffs.append(acc / lead)
-    return LaurentSeries(ctx, direction, order, coeffs)
+    return coeffs
 
 
-def recomposition_residual(f, series: LaurentSeries) -> bool:
-    """True iff (series * denominator - numerator) vanishes through the order.
+def recomposition_residual(f, direction: str, coeffs) -> bool:
+    """True iff f minus the truncated series vanishes through its order.
 
-    Independent check of expand_series: reconstitutes f from the truncated
-    series and verifies agreement of the leading `order+1` coefficients.
+    Independent check of expand_series: `coeffs` are the coefficients
+    c_0..c_order of the expansion of f in `direction`; the difference of f
+    and their series must vanish to the stated order.
     """
     f = f.reduce()
     ctx = f.ctx
+    order = len(coeffs) - 1
     z = LaurentExpr(ctx, ctx.field.gens[ctx._z_index])
     s = LaurentExpr(ctx, ctx.field.zero)
-    sign = -1 if series.direction == AT_INFINITY else 1
-    for r in range(series.order + 1):
-        s = s + series.coefficients[r] * z ** (sign * r)
+    sign = -1 if direction == AT_INFINITY else 1
+    for r, c in enumerate(coeffs):
+        s = s + c * z ** (sign * r)
     diff = f - s
     if diff.is_zero:
         return True
     numc, denc = diff.z_coeffs()
     # diff must vanish to the stated order: every numerator z-degree must lie
     # strictly beyond it relative to the denominator's reference degree.
-    if series.direction == AT_INFINITY:
+    if direction == AT_INFINITY:
         dref = max(denc)
-        return all(dref - d > series.order for d in numc)
+        return all(dref - d > order for d in numc)
     dref = min(denc)
-    return all(d - dref > series.order for d in numc)
+    return all(d - dref > order for d in numc)
 
 
 def series_coefficient(f, direction: str, r: int) -> FactoredExpr:
@@ -1119,10 +1024,14 @@ def series_coefficient(f, direction: str, r: int) -> FactoredExpr:
 
     The expansion runs factor by factor with no gcd: each factor is written
     as x^s * lead * (1 + g(x)) in the expansion variable x (z^{-1} at
-    infinity, z at zero), which needs a monomial `lead`; 1 - a z^{-1} has
-    one in both directions.  A factor without one sends the value through
-    `expand_series`.
+    infinity, z at zero), which needs a monomial `lead`.  A factor
+    1 - a z^{-1} with a z-free monomial a has one in both directions, and
+    psi eigenvalues have no other factors.  A factor without one (a z-free
+    polynomial, say) raises NotExpandable, even where the reduced value has
+    an expansion over the coefficient field.
     """
+    if direction not in (AT_INFINITY, AT_ZERO):
+        raise ExactError("bad direction %r" % direction)
     ctx = f.ctx
     zi = ctx._z_index
     zunit = 1 << (_BITS * zi)
@@ -1136,8 +1045,8 @@ def series_coefficient(f, direction: str, r: int) -> FactoredExpr:
         for fid, k in fac:
             split = _series_split(ctx, fid, sign)
             if split is None:
-                return FactoredExpr.from_laurent(
-                    expand_series(f, direction, r).coefficient(r))
+                raise NotExpandable("factor without a monomial lowest-order "
+                                    "part in the expansion variable")
             s, lc, lkey, g = split
             need -= s * k
             coeff, key = coeff * _qpow(lc, k), key + lkey * k

@@ -1,8 +1,7 @@
 """Loop-algebra operators on the finite module in the fixed-point basis.
 
 Matrix coefficients of the raising/lowering modes, the diagonal psi-series,
-the auxiliary b-series and chi coefficients, and application of operators to
-vectors.  All s-values are read off the SOURCE pattern of a transition: the
+the auxiliary b-series and the chi coefficients.  All s-values are read off the SOURCE pattern of a transition: the
 f-modes raise degree at node i and read the smaller pattern, the e-modes
 lower it and read the larger one.  Boundary rows obey d_0 = d_n = 0 and
 s_{n,k} = t_k^2.
@@ -25,23 +24,6 @@ from .patterns import FinitePattern, neighbors, s_weight
 
 class ActionError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class ModeSpec:
-    """One generator mode: kind in {e,f,psi_plus,psi_minus,t_cartan}."""
-
-    kind: str
-    node: int
-    mode: int = 0
-
-    def __post_init__(self):
-        if self.kind not in ("e", "f", "psi_plus", "psi_minus", "t_cartan"):
-            raise ActionError("unknown kind %r" % self.kind)
-        if self.kind == "psi_plus" and self.mode < 0:
-            raise ActionError("psi_plus modes are nonnegative")
-        if self.kind == "psi_minus" and self.mode > 0:
-            raise ActionError("psi_minus modes are nonpositive")
 
 
 @dataclass(frozen=True)
@@ -217,16 +199,6 @@ class FiniteAction:
         """r=0 coefficient of the e-transition lowering d_{ij}."""
         return move_coefficient(self.ctx, self.s, "e", src, i, j, 0)
 
-    def f_mode_coeff(self, src: FinitePattern, i: int, j: int, r: int) -> FactoredExpr:
-        """Mode-r f coefficient: the base times (s_{ij} v^i)^r."""
-        beta = move_beta(self.s(src, i, j), "f", i)
-        return self.f_base_coeff(src, i, j) * beta ** r
-
-    def e_mode_coeff(self, src: FinitePattern, i: int, j: int, r: int) -> FactoredExpr:
-        """Mode-r e coefficient: the base times (s_{ij} v^{i+2})^r."""
-        beta = move_beta(self.s(src, i, j), "e", i)
-        return self.e_base_coeff(src, i, j) * beta ** r
-
     def transitions(self, kind: str, node: int, src: FinitePattern):
         """All single-box transitions of e/f at the node, with base and beta."""
         return move_transitions(self, self.s, kind, node, src)
@@ -247,10 +219,6 @@ class FiniteAction:
     def psi_mode(self, p: FinitePattern, i: int, m: int, sign: str) -> FactoredExpr:
         """Coefficient of z^{-m} in the +/- expansion; 0 on sign mismatch."""
         return psi_series_mode(self, p, i, m, sign)
-
-    def b_series_eigenvalue(self, p: FinitePattern, m: int) -> FactoredExpr:
-        """Eigenvalue of the m-th tautological series: prod_{j<=m}(1 - z^{-1}s_{mj})."""
-        return self.b_quotient_eigenvalue(p, 0, m, self.ctx.one)
 
     def b_quotient_eigenvalue(
         self, p: FinitePattern, m: int, i: int, scale: FactoredExpr
@@ -378,76 +346,3 @@ class FiniteAction:
             )
         return out
 
-
-class GradedVector:
-    """Finite linear combination of fixed-point basis vectors."""
-
-    __slots__ = ("n", "coeffs")
-
-    def __init__(self, n: int, coeffs=None):
-        self.n = n
-        self.coeffs = {}
-        for p, c in (coeffs or {}).items():
-            if p.n != n:
-                raise ActionError("mixed ranks in vector")
-            if not c.is_zero:
-                self.coeffs[p] = c
-
-    @classmethod
-    def basis(cls, ctx: LaurentContext, p) -> "GradedVector":
-        return cls(p.n, {p: ctx.one})
-
-    def add_term(self, p, c: FactoredExpr) -> None:
-        if p.n != self.n:
-            raise ActionError("mixed ranks in vector")
-        acc = self.coeffs.get(p)
-        new = c if acc is None else acc + c
-        if new.is_zero:
-            self.coeffs.pop(p, None)
-        else:
-            self.coeffs[p] = new
-
-    def __add__(self, other: "GradedVector") -> "GradedVector":
-        out = GradedVector(self.n, dict(self.coeffs))
-        for p, c in other.coeffs.items():
-            out.add_term(p, c)
-        return out
-
-    def scaled(self, c: FactoredExpr) -> "GradedVector":
-        if c.is_zero:
-            return GradedVector(self.n)
-        return GradedVector(self.n, {p: x * c for p, x in self.coeffs.items()})
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, GradedVector)
-            and self.n == other.n
-            and self.coeffs == other.coeffs
-        )
-
-    def __repr__(self):
-        return "GradedVector(%s)" % {
-            repr(p): str(c) for p, c in sorted(
-                self.coeffs.items(), key=lambda kv: kv[0].sort_key()
-            )
-        }
-
-
-def apply_mode(action: FiniteAction, spec: ModeSpec, x: GradedVector) -> GradedVector:
-    """Linear extension of the mode's matrix coefficients."""
-    if x.n != action.n:
-        raise ActionError("vector rank does not match the action")
-    out = GradedVector(action.n)
-    for p, c in x.coeffs.items():
-        if spec.kind in ("e", "f"):
-            for tr in action.transitions(spec.kind, spec.node, p):
-                out.add_term(tr.target, c * tr.coeff(spec.mode))
-        elif spec.kind == "t_cartan":
-            out.add_term(p, c * action.t_cartan_eigenvalue(p, spec.node))
-        else:
-            sign = "+" if spec.kind == "psi_plus" else "-"
-            out.add_term(p, c * action.psi_mode(p, spec.node, spec.mode, sign))
-    return out

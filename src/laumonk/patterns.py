@@ -318,104 +318,6 @@ def enumerate_affine_total(n: int, total: int) -> list:
     return results
 
 
-class LambdaGrid:
-    """n x n grid of partitions lambda^{kl} subject to the cyclic chains.
-
-    Containments are those of monomial ideals J_lambda, so partitions
-    DECREASE along each column cycle: lambda^{ll} >= lambda^{l+1,l} >= ...
-    >= lambda^{l-1,l} componentwise, closed up by the shifted containment
-    lambda^{l-1,l}_i >= lambda^{ll}_{i+1}; exactly the conditions under
-    which the interleaved column reads off a single partition.
-    """
-
-    __slots__ = ("n", "grid")
-
-    def __init__(self, n: int, grid):
-        grid = tuple(tuple(tuple(int(x) for x in lam) for lam in row) for row in grid)
-        if len(grid) != n or any(len(row) != n for row in grid):
-            raise PatternError("grid must be n x n")
-        for row in grid:
-            for lam in row:
-                if not _is_partition(lam):
-                    raise PatternError("grid entries must be partitions")
-        self.n = n
-        self.grid = grid
-        self._check_chains()
-
-    def lam(self, k: int, l: int):
-        """lambda^{kl} with k, l taken mod n in 1..n."""
-        return self.grid[(k - 1) % self.n][(l - 1) % self.n]
-
-    def _check_chains(self):
-        def contains(big, small):
-            return all(
-                (big[i] if i < len(big) else 0) >= (small[i] if i < len(small) else 0)
-                for i in range(max(len(big), len(small)))
-            )
-
-        def contains_shifted(big, small):
-            # big_i >= small_{i+1}
-            return all(
-                (big[i] if i < len(big) else 0)
-                >= (small[i + 1] if i + 1 < len(small) else 0)
-                for i in range(max(len(big), len(small)) + 1)
-            )
-
-        for l in range(1, self.n + 1):
-            for step in range(self.n - 1):
-                big, small = self.lam(l + step, l), self.lam(l + step + 1, l)
-                if not contains(big, small):
-                    raise PatternError(
-                        "chain violated in column %d at step %d" % (l, step)
-                    )
-            if not contains_shifted(self.lam(l - 1, l), self.lam(l, l)):
-                raise PatternError("shifted closure violated in column %d" % l)
-
-
-def to_lambda_grid(p: AffinePattern) -> LambdaGrid:
-    """Interleave each lambda^l into the cyclic grid column.
-
-    lambda^{kl}_i = lambda^l_{n*i + ((k-l) mod n)} (0-indexed parts).
-    """
-    n = p.n
-    grid = []
-    for k in range(1, n + 1):
-        row = []
-        for l in range(1, n + 1):
-            lam = p.lambdas[l - 1]
-            offset = (k - l) % n
-            parts = []
-            idx = offset
-            while idx < len(lam):
-                parts.append(lam[idx])
-                idx += n
-            row.append(tuple(parts))
-        grid.append(row)
-    return LambdaGrid(n, grid)
-
-
-def from_lambda_grid(g: LambdaGrid) -> AffinePattern:
-    """Inverse of to_lambda_grid; validates that columns reassemble."""
-    n = g.n
-    lams = []
-    for l in range(1, n + 1):
-        length = max(
-            (n * (len(g.lam(k, l)) - 1) + (k - l) % n + 1 if g.lam(k, l) else 0)
-            for k in range(1, n + 1)
-        )
-        parts = [0] * length
-        for k in range(1, n + 1):
-            offset = (k - l) % n
-            for i, x in enumerate(g.lam(k, l)):
-                parts[n * i + offset] = x
-        while parts and parts[-1] == 0:
-            parts.pop()
-        if any(x == 0 for x in parts) or not _is_partition(parts):
-            raise PatternError("grid does not reassemble into a partition")
-        lams.append(tuple(parts))
-    return AffinePattern(n, lams)
-
-
 def s_weight(ctx: LaurentContext, p: FinitePattern, i: int, j: int) -> FactoredExpr:
     """Torus weight t_j^2 v^{-2 d_{ij}} (row n contributes plain t_j^2)."""
     if not (1 <= j <= i <= p.n):

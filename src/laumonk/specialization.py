@@ -68,10 +68,6 @@ class ExtendedWeight:
         return self.w.mu_at(rep) + (-i // n) * self.w.K
 
 
-def extend_weight(w: LevelWeight) -> ExtendedWeight:
-    return ExtendedWeight(w)
-
-
 def in_D_mu(p: AffinePattern, w: LevelWeight, brute_bound: int = None) -> bool:
     """Membership in the pattern subset surviving the specialization.
 
@@ -85,7 +81,7 @@ def in_D_mu(p: AffinePattern, w: LevelWeight, brute_bound: int = None) -> bool:
     if p.n != w.n:
         raise WeightError("pattern and weight rank differ")
     n = p.n
-    mut = extend_weight(w)
+    mut = ExtendedWeight(w)
     if brute_bound is None:
         for i in range(1, n + 1):
             for m in range(p.max_length()):
@@ -118,7 +114,7 @@ class SpecializationMap:
     def __init__(self, w: LevelWeight, u_exponent: int = None):
         self.w = w
         self.n = w.n
-        mut = extend_weight(w)
+        mut = ExtendedWeight(w)
         self.t_exponents = tuple(mut(j) - j + 1 for j in range(1, w.n + 1))
         self.u_exponent = -w.K - w.n if u_exponent is None else u_exponent
         self.ctx = LaurentContext(w.n)

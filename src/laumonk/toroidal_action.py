@@ -118,10 +118,6 @@ class ToroidalAction:
 
     # -- hat shift and node translation ---------------------------------------
 
-    def hat_mode_factor(self, r: int) -> FactoredExpr:
-        """Factor (v^n u^2)^{-r} turning a node-n mode into its shifted version."""
-        return self.hat_scale ** (-r)
-
     def node_shift_coeff(self, kind: str, src: AffinePattern, node: int,
                          j: int, r: int) -> FactoredExpr:
         """Mode-r coefficient with the formulas extended to any integer node.

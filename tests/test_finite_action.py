@@ -1,12 +1,6 @@
 import pytest
 
-from laumonk.finite_action import (
-    ActionError,
-    FiniteAction,
-    GradedVector,
-    ModeSpec,
-    apply_mode,
-)
+from laumonk.finite_action import ActionError, FiniteAction
 from laumonk.patterns import FinitePattern, enumerate_finite
 
 
@@ -40,8 +34,10 @@ def test_f_coefficient_vacuum(A2):
     t1, _ = ctx.t
     v = ctx.v
     zero = FinitePattern.zero(2)
-    assert A2.f_mode_coeff(zero, 1, 1, 0) == -t1 / (1 - v ** 2)
-    assert A2.f_mode_coeff(zero, 1, 1, 1) == -t1 ** 3 * v / (1 - v ** 2)
+    (tr,) = A2.transitions("f", 1, zero)
+    assert (tr.column, tr.target) == (1, zero.bump(1, 1, 1))
+    assert tr.coeff(0) == -t1 / (1 - v ** 2)
+    assert tr.coeff(1) == -t1 ** 3 * v / (1 - v ** 2)
 
 
 def test_e_coefficient_one_box(A2):
@@ -50,14 +46,16 @@ def test_e_coefficient_one_box(A2):
     v = ctx.v
     box = FinitePattern.zero(2).bump(1, 1, 1)
     base = t2 ** -1 * v ** -1 * (1 - t2 ** 2 * t1 ** -2 * v ** 2)
-    assert A2.e_mode_coeff(box, 1, 1, 0) == base
-    assert A2.e_mode_coeff(box, 1, 1, 1) == base * t1 ** 2 * v
+    (tr,) = A2.transitions("e", 1, box)
+    assert (tr.column, tr.target) == (1, FinitePattern.zero(2))
+    assert tr.coeff(0) == base
+    assert tr.coeff(1) == base * t1 ** 2 * v
 
 
 def test_invalid_moves_rejected(A2):
     zero = FinitePattern.zero(2)
     with pytest.raises(ActionError):
-        A2.e_mode_coeff(zero, 1, 1, 0)  # no decreasing move from the vacuum
+        A2.e_base_coeff(zero, 1, 1)  # no decreasing move from the vacuum
     assert A2.transitions("e", 1, zero) == []
 
 
@@ -100,10 +98,14 @@ def test_b_series(A2):
     v, z = ctx.v, ctx.z
     zero = FinitePattern.zero(2)
     box = zero.bump(1, 1, 1)
-    assert A2.b_series_eigenvalue(zero, 0).is_one
-    assert A2.b_series_eigenvalue(zero, 2) == \
-        (1 - t1 ** 2 * z ** -1) * (1 - t2 ** 2 * z ** -1)
-    assert A2.b_series_eigenvalue(box, 1) == 1 - t1 ** 2 * v ** -2 * z ** -1
+
+    def b(p, m):
+        # the m-th tautological series is the quotient by row 0
+        return A2.b_quotient_eigenvalue(p, 0, m, ctx.one)
+
+    assert b(zero, 0).is_one
+    assert b(zero, 2) == (1 - t1 ** 2 * z ** -1) * (1 - t2 ** 2 * z ** -1)
+    assert b(box, 1) == 1 - t1 ** 2 * v ** -2 * z ** -1
 
 
 def test_psi_two_route_identity(A2, A3):
@@ -129,17 +131,11 @@ def test_spectral_recursion(A3):
     # mode-r coefficients are geometric with ratio s_{ij} v^i resp. v^{i+2}
     for p in all_patterns(3, 2):
         for i in (1, 2):
-            for j, _ in enumerate(p.rows[i - 1], start=1):
-                if p.bump(i, j, 1) is not None:
+            for kind, shift in (("f", 0), ("e", 2)):
+                for tr in A3.transitions(kind, i, p):
+                    ratio = A3.s(p, i, tr.column) * A3.ctx.v ** (i + shift)
                     for b in (-1, 0, 2):
-                        assert A3.f_mode_coeff(p, i, j, b + 1) == \
-                            A3.f_mode_coeff(p, i, j, b) * A3.s(p, i, j) \
-                            * A3.ctx.v ** i
-                if p.bump(i, j, -1) is not None:
-                    for b in (-1, 0, 2):
-                        assert A3.e_mode_coeff(p, i, j, b + 1) == \
-                            A3.e_mode_coeff(p, i, j, b) * A3.s(p, i, j) \
-                            * A3.ctx.v ** (i + 2)
+                        assert tr.coeff(b + 1) == tr.coeff(b) * ratio
 
 
 def test_chi_identities(A2):
@@ -176,19 +172,6 @@ def test_t_cartan(A2):
     assert A2.t_cartan_eigenvalue(box, 2) == ctx.t[1] * ctx.v ** 2
 
 
-def test_apply(A2):
-    ctx = A2.ctx
-    t1, _ = ctx.t
-    v = ctx.v
-    zero = FinitePattern.zero(2)
-    box = zero.bump(1, 1, 1)
-    x = GradedVector.basis(ctx, zero)
-    out = apply_mode(A2, ModeSpec("f", 1, 0), x)
-    assert out.coeffs == {box: -t1 / (1 - v ** 2)}
-    assert apply_mode(A2, ModeSpec("e", 1, 0), x).is_zero()
-    assert apply_mode(A2, ModeSpec("t_cartan", 1), x).coeffs == {zero: t1}
-
-
 def test_zero_mode_closed_forms(A3):
     # r = 0 coefficients match the direct t,v-variable expressions
     for p in all_patterns(3, 3):
@@ -198,9 +181,3 @@ def test_zero_mode_closed_forms(A3):
             for tr in A3.transitions("e", i, p):
                 assert tr.base == A3.feigin_e_coeff(p, i, tr.column)
 
-
-def test_mode_spec_validation():
-    with pytest.raises(ActionError):
-        ModeSpec("psi_plus", 1, -1)
-    with pytest.raises(ActionError):
-        ModeSpec("q", 1, 0)

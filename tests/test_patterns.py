@@ -9,16 +9,13 @@ from laumonk.exact import LaurentContext
 from laumonk.patterns import (
     AffinePattern,
     FinitePattern,
-    LambdaGrid,
     PatternError,
     enumerate_affine,
     enumerate_affine_total,
     enumerate_finite,
-    from_lambda_grid,
     neighbors,
     p_weight,
     s_weight,
-    to_lambda_grid,
 )
 
 
@@ -94,22 +91,6 @@ def test_affine_degree_convention():
     for i in range(-3, 6):
         for j in range(i - 5, i + 1):
             assert big.d(i, j) == big.d(i + 3, j + 3)
-
-
-def test_lambda_grid_roundtrip():
-    assert to_lambda_grid(AffinePattern(2, [(), ()])).grid == (((), ()),
-                                                               ((), ()))
-    p = AffinePattern(2, [(1,), ()])
-    g = to_lambda_grid(p)
-    assert g.grid == (((1,), ()), ((), ()))
-    assert from_lambda_grid(g) == p
-    for pat in enumerate_affine_total(3, 3) + enumerate_affine_total(2, 4):
-        assert from_lambda_grid(to_lambda_grid(pat)) == pat
-
-
-def test_lambda_grid_chain_violation():
-    with pytest.raises(PatternError):
-        LambdaGrid(2, [[(), ()], [(1,), ()]])
 
 
 def test_weights():

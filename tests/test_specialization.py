@@ -6,13 +6,13 @@ from laumonk.exact import LaurentContext
 from laumonk.finite_action import ActionError
 from laumonk.patterns import AffinePattern, enumerate_affine_total
 from laumonk.specialization import (
+    ExtendedWeight,
     LevelWeight,
     RenormalizedAction,
     SpecializationError,
     WeightError,
     build_Vmu_block,
     closure_report,
-    extend_weight,
     in_D_mu,
     specialize,
 )
@@ -31,7 +31,7 @@ def test_level_weight_validation():
 
 def test_extend_weight_example():
     w = LevelWeight(2, 1, (1, 0))
-    mut = extend_weight(w)
+    mut = ExtendedWeight(w)
     assert mut(1) == 0 and mut(2) == -1
     assert mut(-1) == 1 and mut(0) == 0
 
@@ -45,12 +45,12 @@ def test_extend_weight_properties():
         rest = sorted((rng.randint(mu0, mu0 + K) for _ in range(n - 1)),
                       reverse=True)
         w = LevelWeight(n, K, tuple(rest) + (mu0,))
-        mut = extend_weight(w)
+        mut = ExtendedWeight(w)
         for i in range(-40, 40):
             assert mut(i) >= mut(i + 1)
             assert mut(i + n) == mut(i) - K
     w0 = LevelWeight(3, 2, (0, 0, 0))
-    mut0 = extend_weight(w0)
+    mut0 = ExtendedWeight(w0)
     for i in range(-20, 20):
         assert mut0(i) == (-i // 3) * 2
 
@@ -72,7 +72,7 @@ def test_in_D_mu_dual_mode_agreement():
 
 def test_in_D_mu_violator_at_l_equals_one():
     w = LevelWeight(3, 1, (0, 0, 0))
-    mut = extend_weight(w)
+    mut = ExtendedWeight(w)
     found = None
     for p in enumerate_affine_total(3, 3):
         for i in range(1, 4):
@@ -90,7 +90,7 @@ def test_in_D_mu_violator_at_l_equals_one():
 def test_specialize_examples():
     w = LevelWeight(3, 1, (0, 0, 0))
     ctx = LaurentContext(3)
-    mut = extend_weight(w)
+    mut = ExtendedWeight(w)
     assert specialize(ctx.u * ctx.v ** (w.K + w.n), w) == ctx.one
     for j in (1, 2, 3):
         assert specialize(ctx.t[j - 1] ** 2, w) == \

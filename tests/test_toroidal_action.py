@@ -1,6 +1,6 @@
 import pytest
 
-from laumonk.exact import AT_INFINITY, expand_series
+from laumonk.exact import AT_INFINITY, expand_series, series_coefficient
 from laumonk.finite_action import ActionError, FiniteAction
 from laumonk.patterns import AffinePattern, FinitePattern, \
     enumerate_affine_total
@@ -67,12 +67,11 @@ def test_psi_zero_mode_monomial(T, pats):
     ctx = T.ctx
     for p in pats:
         for i in (1, 2, 3):
-            zm = expand_series(T.psi_eigenvalue(p, i), AT_INFINITY,
-                               0).coefficient(0)
+            (zm,) = expand_series(T.psi_eigenvalue(p, i), AT_INFINITY, 0)
             want = ctx.u ** 2 * ctx.t_res(i + 1) ** -1 * ctx.t_res(i) \
                 * ctx.v ** (p.row_sum(i + 1) - 2 * p.row_sum(i)
                             + p.row_sum(i - 1) - 1)
-            assert zm == want
+            assert zm == want.reduce()
 
 
 def test_quotient_route_and_cutoff_row_independence(T, pats):
@@ -98,10 +97,15 @@ def test_periodic_shift_invariant(T, pats):
                         assert lhs == rhs
 
 
-def test_hat_mode_factor(T):
-    assert T.hat_mode_factor(0).is_one
-    assert T.hat_mode_factor(1) == T.ctx.v ** -3 * T.ctx.u ** -2
-    assert T.hat_mode_factor(-1) == T.ctx.v ** 3 * T.ctx.u ** 2
+def test_hat_mode_factor(T, pats):
+    # the shifted node-n series psi_n(z v^n u^2) has the node-n modes times
+    # (v^n u^2)^{-r}
+    assert T.hat_scale == T.ctx.v ** 3 * T.ctx.u ** 2
+    for p in pats[:6]:
+        hat, plain = T.psi_hat_eigenvalue(p), T.psi_eigenvalue(p, 3)
+        for r in range(3):
+            assert series_coefficient(hat, AT_INFINITY, r) == \
+                series_coefficient(plain, AT_INFINITY, r) * T.hat_scale ** -r
 
 
 def test_psi_hat_is_scaled_node_n(T, pats):
