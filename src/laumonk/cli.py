@@ -213,7 +213,7 @@ def cmd_specialize(args) -> int:
     u_exponent = None
     if args.wrong_u:
         u_exponent = -args.level - args.n + 1
-    report = closure_report(w, max_total=args.max_degree, window=args.window,
+    report = closure_report(w, max_total=args.max_degree,
                             u_exponent=u_exponent)
     report["command"] = "specialize"
     _write_report(args.out, report)
@@ -324,7 +324,6 @@ def build_parser():
     spec.add_argument("-K", "--level", type=int, required=True)
     spec.add_argument("--mu", required=True)
     spec.add_argument("--max-degree", type=int, default=2)
-    spec.add_argument("--window", type=int, default=2)
     spec.add_argument("--wrong-u", action="store_true",
                       help="negative control: off-by-one u exponent")
     spec.add_argument("--config", default=None)

@@ -334,7 +334,7 @@ def build_Vmu_block(w: LevelWeight, deg, window: int = 2,
     return block
 
 
-def closure_report(w: LevelWeight, max_total: int = 2, window: int = 2,
+def closure_report(w: LevelWeight, max_total: int = 2,
                    u_exponent: int = None) -> dict:
     """Closure status over all degree blocks with total box count <= bound."""
     from .patterns import enumerate_affine_total
@@ -356,7 +356,6 @@ def closure_report(w: LevelWeight, max_total: int = 2, window: int = 2,
         "mu": list(w.mu),
         "u_exponent": -w.K - w.n if u_exponent is None else u_exponent,
         "max_total_degree": max_total,
-        "window": window,
         "blocks": blocks,
         "closure": all(b["closure"] for b in blocks),
     }

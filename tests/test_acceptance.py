@@ -173,10 +173,10 @@ def test_criterion_7_specialization_closure():
     for K in (1, 2):
         for mu in ((0, 0, 0), (1, 0, 0), (1, 1, 0)):
             w = LevelWeight(3, K, mu)
-            rep = closure_report(w, max_total=2, window=2)
+            rep = closure_report(w, max_total=2)
             ok = ok and rep["closure"]
     w = LevelWeight(3, 1, (0, 0, 0))
-    control = closure_report(w, max_total=2, window=2,
+    control = closure_report(w, max_total=2,
                              u_exponent=-w.K - w.n + 1)
     control_failed = not control["closure"] and any(
         b["violations_vanishing"] for b in control["blocks"])

@@ -79,31 +79,31 @@ OTHER = {
     "specialize-K1-000": (
         ["specialize", "-n", "3", "-K", "1", "--mu", "0,0,0",
          "--max-degree", "3"],
-        "02cc5f6a561577ec8e2aea6015f881c18d0fd13325b000eeca4dc2ac303f994f"),
+        "251b1e56997739b94ec1f2428fb300a5ed39eacfbb624a4d32d4b932152701cf"),
     "specialize-K1-100": (
         ["specialize", "-n", "3", "-K", "1", "--mu", "1,0,0",
          "--max-degree", "3"],
-        "e2fce7291e30fdd226f2d2e8e4b10ad809c736d5396ef2adcb51945e1321f77b"),
+        "46e043f6c46218677d9c62db2ca59e165a5bd27d567d218114db63273bff6c13"),
     "specialize-K1-110": (
         ["specialize", "-n", "3", "-K", "1", "--mu", "1,1,0",
          "--max-degree", "3"],
-        "2d2c6f329eb0114d4ccaffa8264fd49a8b10501194ed6c60643eeadb81031476"),
+        "f30bc87a7e3c93a3d6fb722a9f05f3f456feeef77419ea216b65c499453c4758"),
     "specialize-K2-000": (
         ["specialize", "-n", "3", "-K", "2", "--mu", "0,0,0",
          "--max-degree", "3"],
-        "4fb7046092886229bb4d7b450a8815f454ad2bc771e9c00a5db2bd8f056e31e2"),
+        "3e04e6e21099430caef1f1680caea9d6c654adeb9abda2c1d536b2fcdff451ff"),
     "specialize-K2-100": (
         ["specialize", "-n", "3", "-K", "2", "--mu", "1,0,0",
          "--max-degree", "3"],
-        "7bd6080af4bff0c1ca50719474ed0481d39d6d39b1c246862b6e9aef6e20d757"),
+        "28cdc5394383859a0be44385f17f279d910a993ab635782e8b16e3f6469a6054"),
     "specialize-K2-110": (
         ["specialize", "-n", "3", "-K", "2", "--mu", "1,1,0",
          "--max-degree", "3"],
-        "bf4715dc2ceaefa4c76695683f726a21fd345acbaf078a941d1fa1ca451e4747"),
+        "a51ddcff7673d800ac95a3dfae034864cdcd43f6093b2b6256b08242802b31f3"),
     "specialize-wrong-u": (
         ["specialize", "-n", "3", "-K", "1", "--mu", "0,0,0",
          "--max-degree", "3", "--wrong-u"],
-        "2b1931cb504ad80f67ed628971161412bd3fd8070c3e2bff00df5bfcf577ba35"),
+        "978ee63baf83b4c269deb96c1cfb8a5ad8bd57c89aa9613dd7a26e0db12698fa"),
     "op-matrix-finite-f": (
         ["op-matrix", "-n", "3", "--kind", "f", "--node", "2", "-r", "1",
          "-d", "1,2"],

@@ -162,13 +162,13 @@ def test_closure_small_blocks():
     block = build_Vmu_block(w, (0, 0, 0), window=1)
     assert block["basis_size"] == 1
     assert block["closure"]
-    rep = closure_report(w, max_total=2, window=1)
+    rep = closure_report(w, max_total=2)
     assert rep["closure"]
 
 
 def test_closure_negative_control():
     w = LevelWeight(3, 1, (0, 0, 0))
-    rep = closure_report(w, max_total=2, window=1,
+    rep = closure_report(w, max_total=2,
                          u_exponent=-w.K - w.n + 1)
     assert not rep["closure"]
     assert any(b["violations_vanishing"] for b in rep["blocks"])
@@ -180,7 +180,7 @@ def test_dimension_growth_under_level_reported():
     sizes = {}
     for K in (1, 2):
         w = LevelWeight(3, K, (0, 0, 0))
-        rep = closure_report(w, max_total=2, window=1)
+        rep = closure_report(w, max_total=2)
         sizes[K] = [b["basis_size"] for b in rep["blocks"]]
     assert all(a <= b for a, b in zip(sizes[1], sizes[2]))
 
