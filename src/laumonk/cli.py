@@ -269,19 +269,19 @@ def cmd_op_matrix(args) -> int:
     return 0
 
 
-def _apply_config(args, subparser):
-    """Config file supplies defaults; explicit flags win."""
-    if not getattr(args, "config", None):
-        return args
-    with open(args.config, encoding="utf-8") as fh:
+def _read_config(path, options) -> dict:
+    """Option values from a JSON config file; every key must name one of
+    `options` (a dash reads as an underscore)."""
+    with open(path, encoding="utf-8") as fh:
         conf = json.load(fh)
-    for key, value in conf.items():
-        key = key.replace("-", "_")
-        if not hasattr(args, key):
-            continue
-        if subparser.get_default(key) == getattr(args, key):
-            setattr(args, key, value)
-    return args
+    if not isinstance(conf, dict):
+        raise ValueError("config %s is not a JSON object" % path)
+    conf = {key.replace("-", "_"): value for key, value in conf.items()}
+    unknown = sorted(set(conf) - set(options))
+    if unknown:
+        raise ValueError("config %s: unknown option(s) %s"
+                         % (path, ", ".join(unknown)))
+    return conf
 
 
 def build_parser():
@@ -348,11 +348,16 @@ def build_parser():
 def main(argv=None) -> int:
     parser, registry = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "config", None):
-        args = _apply_config(args, registry[args.command])
-    if args.command == "verify" and args.max_degree is None:
-        args.max_degree = 3 if args.suite in ("loop", "glzero") else 2
     try:
+        if getattr(args, "config", None):
+            # the config becomes the subcommand's defaults, so explicit
+            # flags win when the command line is parsed again
+            options = set(vars(args)) - {"command", "fn", "config"}
+            registry[args.command].set_defaults(
+                **_read_config(args.config, options))
+            args = parser.parse_args(argv)
+        if args.command == "verify" and args.max_degree is None:
+            args.max_degree = 3 if args.suite in ("loop", "glzero") else 2
         return args.fn(args)
     except (ValueError, OSError) as err:
         print("error: %s" % err, file=sys.stderr)

@@ -157,3 +157,14 @@ def test_config_file_defaults_and_flag_override(tmp_path):
     assert run_cli(["verify", "--suite", "loop", "--config", str(conf),
                     "--seed", "9", "--out", str(out)]) == 0
     assert json.loads(out.read_text())["seed"] == 9
+    # ... also when the flag repeats the parser default
+    assert run_cli(["verify", "--suite", "loop", "--config", str(conf),
+                    "--seed", "0", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["seed"] == 0
+    # a key that is not an option of the subcommand is rejected
+    typo = tmp_path / "typo.json"
+    typo.write_text(json.dumps({"n": 2, "max_degree": 2, "sedd": 5}))
+    out.unlink()
+    assert run_cli(["verify", "--suite", "loop", "--config", str(typo),
+                    "--out", str(out)]) == 2
+    assert not out.exists()
