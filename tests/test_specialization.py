@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import HealthCheck, event, given, settings
+from hypothesis import strategies as st
 
 from laumonk.exact import LaurentContext
 from laumonk.finite_action import ActionError
@@ -68,6 +70,78 @@ def test_in_D_mu_dual_mode_agreement():
         for total in range(4):
             for p in enumerate_affine_total(3, total):
                 assert in_D_mu(p, w) == in_D_mu(p, w, brute_bound=9)
+
+
+@st.composite
+def level_weights(draw):
+    """A dominant weight: n in 2..5, K in 1..3, mu nonincreasing with
+    mu_{1-n} - mu_0 <= K."""
+    n, K = draw(st.integers(2, 5)), draw(st.integers(1, 3))
+    mu0 = draw(st.integers(-2, 2))
+    rest = draw(st.lists(st.integers(mu0, mu0 + K), min_size=n - 1,
+                         max_size=n - 1))
+    return LevelWeight(n, K, tuple(sorted(rest, reverse=True)) + (mu0,))
+
+
+@st.composite
+def d_mu_members(draw, w):
+    """A partition tuple in D(mu), built row by row: d_{ij} = lambda^j_m
+    with m = i - j, so membership says that j -> lambda^{(j mod n)}_m -
+    mu~_j is nondecreasing for every part index m.  Each row draws the
+    value at j = 1 and sorted offsets in 0..K for j = 2..n (K bounds the
+    total rise, because the sequence gains exactly K over a period); the
+    tuple ends at the first row that leaves 0..5 or would grow a part."""
+    n, mut = w.n, ExtendedWeight(w)
+    rows, cap = [], [5] * n
+    for _ in range(draw(st.integers(0, 4))):
+        b = draw(st.integers(-mut(1), 5 - mut(1)))
+        offsets = sorted(draw(st.lists(st.integers(0, w.K), min_size=n - 1,
+                                       max_size=n - 1)))
+        row = [b + c + mut(j) for j, c in enumerate([0] + offsets, start=1)]
+        if any(not 0 <= x <= c for x, c in zip(row, cap)):
+            break
+        rows.append(row)
+        cap = row
+    return AffinePattern(n, [tuple(r[j] for r in rows if r[j])
+                             for j in range(n)])
+
+
+@st.composite
+def weights_and_patterns(draw):
+    """(weight, kind, partition tuple) with parts up to 5 and lengths up to
+    4; the kind says whether the tuple is plain random, a D(mu) member or a
+    member with one box moved."""
+    w = draw(level_weights())
+    kind = draw(st.sampled_from(["random", "member", "near"]))
+    if kind == "random":
+        parts = st.lists(st.integers(1, 5), max_size=4).map(
+            lambda xs: tuple(sorted(xs, reverse=True)))
+        return w, kind, AffinePattern(w.n, draw(st.lists(
+            parts, min_size=w.n, max_size=w.n)))
+    p = draw(d_mu_members(w))
+    if kind == "near":
+        moves = [q for i in range(1, w.n + 1)
+                 for m in range(p.max_length() + 1)
+                 for q in (p.bump(i, i - m, 1), p.bump(i, i - m, -1))
+                 if q is not None]
+        p = draw(st.sampled_from(moves))
+    return w, kind, p
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(weights_and_patterns())
+def test_in_D_mu_reduction_matches_brute_force(case):
+    # the reduced check (charged cells, shifts 1..n-1) against every shift
+    # up to 2n+2 on a window that includes uncharged cells
+    w, kind, p = case
+    member = in_D_mu(p, w)
+    event("in D(mu)" if member else "not in D(mu)")
+    if member and p.total():
+        event("in D(mu), nonempty")
+    assert member == in_D_mu(p, w, brute_bound=2 * w.n + 2)
+    if kind == "member":
+        assert member
 
 
 def test_in_D_mu_violator_at_l_equals_one():

@@ -1,9 +1,12 @@
+import itertools
+
 import pytest
 
-from laumonk.exact import AT_INFINITY, expand_series, series_coefficient
+from laumonk.exact import AT_INFINITY, AT_ZERO, expand_series, \
+    series_coefficient
 from laumonk.finite_action import ActionError, FiniteAction
 from laumonk.patterns import AffinePattern, FinitePattern, \
-    enumerate_affine_total
+    enumerate_affine_total, enumerate_finite
 from laumonk.toroidal_action import ToroidalAction
 
 
@@ -167,3 +170,40 @@ def test_transitions_reject_unknown_kinds(action, src):
         with pytest.raises(ActionError):
             action.transitions(kind, 1, src)
     assert {key[0] for key in action._transitions_cache} == {"e"}
+
+
+def _psi_eigenvalues(kind, n, max_total=3):
+    """Every psi eigenvalue of the finite (n) or affine (n) module on the
+    patterns of total degree <= max_total, with psi_hat on the affine one."""
+    if kind == "finite":
+        action = FiniteAction(n)
+        degrees = [d for d in itertools.product(range(max_total + 1),
+                                                 repeat=n - 1)
+                   if sum(d) <= max_total]
+        pats = [p for d in degrees for p in enumerate_finite(n, d)]
+        nodes = range(1, n)
+    else:
+        action = ToroidalAction(n)
+        pats = [p for t in range(max_total + 1)
+                for p in enumerate_affine_total(n, t)]
+        nodes = range(1, n + 1)
+    for p in pats:
+        for i in nodes:
+            yield action.psi_eigenvalue(p, i)
+        if kind == "affine":
+            yield action.psi_hat_eigenvalue(p)
+
+
+@pytest.mark.parametrize("kind, n, size", [("finite", 3, 26),
+                                           ("finite", 4, 87),
+                                           ("affine", 3, 140)])
+def test_psi_eigenvalues_expand_in_both_directions(kind, n, size):
+    # series_coefficient raises NotExpandable on a factor with no monomial
+    # lowest-order part; psi_mode, and so verify, never meets one
+    count = 0
+    for psi in _psi_eigenvalues(kind, n):
+        for direction in (AT_INFINITY, AT_ZERO):
+            for r in range(3):
+                series_coefficient(psi, direction, r)
+        count += 1
+    assert count == size
