@@ -270,14 +270,14 @@ def cmd_op_matrix(args) -> int:
 
 
 def _read_config(path, options) -> dict:
-    """Option values from a JSON config file; every key must name one of
+    """Option values from a JSON config file; every key must be in the set
     `options` (a dash reads as an underscore)."""
     with open(path, encoding="utf-8") as fh:
         conf = json.load(fh)
     if not isinstance(conf, dict):
         raise ValueError("config %s is not a JSON object" % path)
     conf = {key.replace("-", "_"): value for key, value in conf.items()}
-    unknown = sorted(set(conf) - set(options))
+    unknown = sorted(set(conf) - options)
     if unknown:
         raise ValueError("config %s: unknown option(s) %s"
                          % (path, ", ".join(unknown)))

@@ -1,9 +1,9 @@
 """Loop-algebra operators on the finite module in the fixed-point basis.
 
 Matrix coefficients of the raising/lowering modes, the diagonal psi-series,
-the auxiliary b-series and the chi coefficients.  All s-values are read off the SOURCE pattern of a transition: the
-f-modes raise degree at node i and read the smaller pattern, the e-modes
-lower it and read the larger one.  Boundary rows obey d_0 = d_n = 0 and
+the auxiliary b-series and the chi coefficients.  All s-values are read
+off the SOURCE pattern of a transition: the f-modes raise degree at node i
+and read the smaller pattern, the e-modes lower it and read the larger one.  Boundary rows obey d_0 = d_n = 0 and
 s_{n,k} = t_k^2.
 
 The coefficient shapes (a monomial times (1 - monomial) products) are built
