@@ -2,7 +2,9 @@
 byte-identical reports.
 
 The first commands and sha256 digests are those listed under "Report
-digests" in perfbench/README.md; the random-strategy controls, toroidal and
+digests" in perfbench/README.md, except the seven specialize reports, which
+lost their unused "window" field and were re-pinned; the random-strategy
+controls, toroidal and
 glzero runs, the random loop acceptance scope and the symbolic loop,
 toroidal and glzero acceptance scopes follow. A digest that moves
 means a verdict, an entry count or a serialized value changed (the failing
