@@ -94,6 +94,22 @@ def test_oracle_size_counterexamples_carry_the_standard_keys(
     assert cex["size"] == expected + 1
 
 
+def test_oracle_bott_mismatch_is_a_counterexample(monkeypatch):
+    # a Bott coefficient off by one fails the first entry it reaches: the
+    # mode -1 f-move out of the empty pattern, with the plain report keys
+    bott = TangentOracle.bott_coefficient
+    monkeypatch.setattr(TangentOracle, "bott_coefficient",
+                        lambda self, *args: bott(self, *args) + 1)
+    (report,) = cli.oracle_suite(3, max_degree=1)
+    assert report.status == "fail" and report.entries_checked == 69
+    cex = report.counterexample
+    assert sorted(cex) == ["modes", "residual", "source", "target"]
+    assert cex["source"] == AffinePattern.empty(3).to_json()
+    assert cex["target"] == AffinePattern(3, [(1,), (), ()]).to_json()
+    assert cex["modes"] == ["f", 1, 1, -1]
+    assert cex["residual"] == "1"
+
+
 def test_specialize_cli(tmp_path):
     out = tmp_path / "s.json"
     assert run_cli(["specialize", "-n", "3", "-K", "1", "--mu", "0,0,0",
