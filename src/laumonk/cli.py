@@ -10,19 +10,15 @@ Subcommands:
 * op-matrix   -- matrix of one mode operator between degree blocks
 
 All reports are JSON with sorted keys; identical (config, seed) runs are
-byte-identical.  --workers (or LAUMONK_WORKERS) sizes a thread pool over
-the units of a suite; every suite is one unit today, so a second worker
-overlaps no work.  The merge order is fixed, so results do not depend on
-the worker count.
+byte-identical.  verify accepts --workers and runs every suite in one
+process; the option has no effect yet.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import relations as rel
 from .finite_action import FiniteAction
@@ -70,104 +66,69 @@ def cmd_patterns(args) -> int:
     return 0
 
 
-def _suite_reports(args):
-    """The named suite as a list of (description, callable) units."""
-    units = []
-    if args.suite == "loop":
-        units.append(("loop", lambda: rel.loop_suite(
-            args.n, max_degree=args.max_degree, window=args.window,
-            strategy=args.strategy, seed=args.seed, trials=args.trials)))
-    elif args.suite == "toroidal":
-        units.append(("toroidal", lambda: rel.toroidal_suite(
-            args.n, max_degree=args.max_degree, window=args.window,
-            strategy=args.strategy, seed=args.seed, trials=args.trials)))
-    elif args.suite == "glzero":
-        units.append(("glzero", lambda: rel.verify_gl_zero_modes(
-            rel.FiniteModel(args.n), max_degree=args.max_degree,
-            strategy=args.strategy, seed=args.seed, trials=args.trials)))
-    elif args.suite == "controls":
-        units.append(("controls", lambda: rel.negative_controls(
-            max(args.n, 3), max_degree=min(args.max_degree, 2), window=1,
-            strategy=args.strategy, seed=args.seed, trials=args.trials)))
-    elif args.suite == "oracle":
-        units.append(("oracle", lambda: oracle_suite(
-            args.n, max_degree=args.max_degree)))
-    else:
-        raise SystemExit("unknown suite %r" % args.suite)
-    return units
-
-
 def oracle_suite(n: int, max_degree: int = 2, modes=(-1, 0, 1)) -> list:
     """Bott-Lefschetz equality and character-size checks as reports."""
     oracle = TangentOracle(n)
     action = ToroidalAction(n)
-    sources = []
-    for total in range(max_degree + 1):
-        sources.extend(enumerate_affine_total(n, total))
-    entries = 0
-    counterexample = None
-    for p in sources:
-        space = oracle.tangent_character_space(p)
-        expected = 2 * sum(p.degree())
-        if space.size() != expected and counterexample is None:
-            counterexample = {
-                "source": p.to_json(),
-                "target": p.to_json(),
-                "modes": ["character size"],
-                "residual": str(space.size() - expected),
-                "size": space.size(),
-            }
-        for node in range(1, n + 1):
-            for kind in ("e", "f"):
-                for tr in action.transitions(kind, node, p):
-                    if kind == "f":
-                        corr = oracle.tangent_character_correspondence(
-                            p, node, tr.column)
-                        entries += 1
-                        if (corr.size() != expected + 1
-                                and counterexample is None):
-                            counterexample = {
-                                "source": p.to_json(),
-                                "target": tr.target.to_json(),
-                                "modes": [kind, node, tr.column,
-                                          "correspondence size"],
-                                "residual": str(corr.size() - expected - 1),
-                                "size": corr.size(),
-                            }
-                    for r in modes:
-                        entries += 1
-                        got = oracle.bott_coefficient(kind, p, node,
-                                                      tr.column, r)
-                        if got != tr.coeff(r) and counterexample is None:
-                            counterexample = {
-                                "source": p.to_json(),
-                                "target": tr.target.to_json(),
-                                "modes": [kind, node, tr.column, r],
-                                "residual": (got - tr.coeff(r)).to_string(),
-                            }
-    report = rel.VerificationReport(
-        rel.RelationId("bott_oracle", "", ()),
-        {"n": n, "module": "affine", "strategy": "symbolic",
-         "max_degree": max_degree, "window": list(modes), "seed": 0},
-        "pass" if counterexample is None else "fail",
-        entries,
-        counterexample,
-    )
-    return [report]
+    ctx = action.ctx
+    sources = rel._sources(action, max_degree)
+
+    def body(ev, check):
+        for p in sources:
+            space = oracle.tangent_character_space(p)
+            expected = 2 * sum(p.degree())
+            if space.size() != expected and check.counterexample is None:
+                check.fail(p, p, ["character size"],
+                           ctx.rational(space.size() - expected),
+                           size=space.size())
+            for node in range(1, n + 1):
+                for kind in ("e", "f"):
+                    for tr in action.transitions(kind, node, p):
+                        if kind == "f":
+                            corr = oracle.tangent_character_correspondence(
+                                p, node, tr.column)
+                            check.entries += 1
+                            if (corr.size() != expected + 1
+                                    and check.counterexample is None):
+                                check.fail(
+                                    p, tr.target,
+                                    [kind, node, tr.column,
+                                     "correspondence size"],
+                                    ctx.rational(corr.size() - expected - 1),
+                                    size=corr.size())
+                        for r in modes:
+                            got = oracle.bott_coefficient(kind, p, node,
+                                                          tr.column, r)
+                            check.entry(p, tr.target,
+                                        [kind, node, tr.column, r],
+                                        got - tr.coeff(r))
+
+    scope = rel._scope(action, rel.SYMBOLIC, 0, None, max_degree=max_degree,
+                       window=list(modes))
+    return [rel._run(action, rel.RelationId("bott_oracle"), scope,
+                     rel.SYMBOLIC, 0, None, body)]
+
+
+# suite name -> the suite's reports for the parsed verify arguments
+SUITES = {
+    "loop": lambda args: rel.loop_suite(
+        args.n, max_degree=args.max_degree, window=args.window,
+        strategy=args.strategy, seed=args.seed, trials=args.trials),
+    "toroidal": lambda args: rel.toroidal_suite(
+        args.n, max_degree=args.max_degree, window=args.window,
+        strategy=args.strategy, seed=args.seed, trials=args.trials),
+    "glzero": lambda args: rel.verify_gl_zero_modes(
+        FiniteAction(args.n), max_degree=args.max_degree,
+        strategy=args.strategy, seed=args.seed, trials=args.trials),
+    "oracle": lambda args: oracle_suite(args.n, max_degree=args.max_degree),
+    "controls": lambda args: rel.negative_controls(
+        max(args.n, 3), max_degree=min(args.max_degree, 2), window=1,
+        strategy=args.strategy, seed=args.seed, trials=args.trials),
+}
 
 
 def cmd_verify(args) -> int:
-    units = _suite_reports(args)
-    workers = args.workers or int(os.environ.get("LAUMONK_WORKERS", "1"))
-    reports = []
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [(name, pool.submit(fn)) for name, fn in units]
-            for _, fut in futures:
-                reports.extend(fut.result())
-    else:
-        for _, fn in units:
-            reports.extend(fn())
+    reports = SUITES[args.suite](args)
     payload = {
         "command": "verify",
         "suite": args.suite,
@@ -269,18 +230,40 @@ def cmd_op_matrix(args) -> int:
     return 0
 
 
-def _read_config(path, options) -> dict:
-    """Option values from a JSON config file; every key must be in the set
-    `options` (a dash reads as an underscore)."""
+def _read_config(path, sub) -> dict:
+    """Option values of the subcommand parser `sub` from a JSON config file.
+
+    Every key must name an option (a dash reads as an underscore), and each
+    value passes the checks its flag would: a switch takes a JSON boolean,
+    any other option a string or an integer, which goes through the
+    option's type and must be one of its choices."""
     with open(path, encoding="utf-8") as fh:
         conf = json.load(fh)
     if not isinstance(conf, dict):
         raise ValueError("config %s is not a JSON object" % path)
     conf = {key.replace("-", "_"): value for key, value in conf.items()}
-    unknown = sorted(set(conf) - options)
+    actions = {a.dest: a for a in sub._actions
+               if a.dest not in ("help", "config")}
+    unknown = sorted(set(conf) - set(actions))
     if unknown:
         raise ValueError("config %s: unknown option(s) %s"
                          % (path, ", ".join(unknown)))
+    for key, value in conf.items():
+        action = actions[key]
+        if action.nargs == 0:
+            ok = isinstance(value, bool)
+        else:
+            ok = isinstance(value, (str, int)) and not isinstance(value, bool)
+            if ok and action.type is not None:
+                try:
+                    conf[key] = action.type(str(value))
+                except ValueError:
+                    ok = False
+            ok = ok and (action.choices is None
+                         or conf[key] in action.choices)
+        if not ok:
+            raise ValueError("config %s: invalid value %s for option %s"
+                             % (path, json.dumps(value), key))
     return conf
 
 
@@ -304,9 +287,7 @@ def build_parser():
     pat.set_defaults(fn=cmd_patterns)
 
     ver = sub.add_parser("verify", help="run a verification suite")
-    ver.add_argument("--suite", required=True,
-                     choices=["loop", "toroidal", "glzero", "oracle",
-                              "controls"])
+    ver.add_argument("--suite", required=True, choices=list(SUITES))
     ver.add_argument("-n", type=int, default=3)
     ver.add_argument("-D", "--max-degree", type=int, default=None)
     ver.add_argument("-R", "--window", type=int, default=2)
@@ -314,7 +295,8 @@ def build_parser():
                      default="symbolic")
     ver.add_argument("--seed", type=int, default=0)
     ver.add_argument("--trials", type=int, default=5)
-    ver.add_argument("--workers", type=int, default=None)
+    ver.add_argument("--workers", type=int, default=None,
+                     help="accepted; has no effect yet")
     ver.add_argument("--config", default=None)
     ver.add_argument("--out", default=None)
     ver.set_defaults(fn=cmd_verify)
@@ -352,9 +334,8 @@ def main(argv=None) -> int:
         if getattr(args, "config", None):
             # the config becomes the subcommand's defaults, so explicit
             # flags win when the command line is parsed again
-            options = set(vars(args)) - {"command", "fn", "config"}
-            registry[args.command].set_defaults(
-                **_read_config(args.config, options))
+            sub = registry[args.command]
+            sub.set_defaults(**_read_config(args.config, sub))
             args = parser.parse_args(argv)
         if args.command == "verify" and args.max_degree is None:
             args.max_degree = 3 if args.suite in ("loop", "glzero") else 2

@@ -176,6 +176,8 @@ def psi_series_mode(action, p, i, m, sign) -> FactoredExpr:
 class FiniteAction:
     """Operator calculus for a fixed rank n >= 2."""
 
+    affine = False
+
     def __init__(self, n: int):
         if n < 2:
             raise ActionError("need n >= 2")

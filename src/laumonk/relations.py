@@ -21,6 +21,7 @@ with a counterexample payload when a residual survives, and with status
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import random
 from dataclasses import dataclass
@@ -81,94 +82,36 @@ class VerificationReport:
         return out
 
 
-# -- models ------------------------------------------------------------------
+# -- the module an action acts on ---------------------------------------------
+#
+# The engine reads a FiniteAction or a ToroidalAction directly; the two differ
+# here only in their node range and their source enumeration.
 
 
-class FiniteModel:
-    """Adapter exposing the finite module to the relation engine."""
-
-    affine = False
-
-    def __init__(self, n: int):
-        self.n = n
-        self.action = FiniteAction(n)
-        self.ctx = self.action.ctx
-
-    def x_nodes(self):
-        return range(1, self.n)
-
-    def cartan(self, k: int, l: int) -> int:
-        if k == l:
-            return 2
-        return -1 if abs(k - l) == 1 else 0
-
-    def sources(self, max_degree: int):
-        out = []
-        for total in range(max_degree + 1):
-            for deg in _compositions(total, self.n - 1):
-                out.extend(enumerate_finite(self.n, deg))
-        return out
-
-    def transitions(self, kind: str, node: int, src):
-        return self.action.transitions(kind, node, src)
-
-    def psi(self, p, node: int) -> FactoredExpr:
-        return self.action.psi_eigenvalue(p, node)
-
-    def psi_mode(self, p, node: int, m: int, sign: str) -> FactoredExpr:
-        return self.action.psi_mode(p, node, m, sign)
+def _nodes(action):
+    """Nodes of the x-series: 1..n-1 on the finite module, 1..n on the
+    affine one."""
+    return range(1, action.n + 1 if action.affine else action.n)
 
 
-class AffineModel:
-    """Adapter exposing the affine module, with the shifted node-n series."""
-
-    affine = True
-
-    def __init__(self, n: int):
-        self.n = n
-        self.action = ToroidalAction(n)
-        self.ctx = self.action.ctx
-
-    def x_nodes(self):
-        return range(1, self.n + 1)
-
-    def cartan(self, k: int, l: int) -> int:
-        if k == l:
-            return 2
-        if (k - l) % self.n in (1, self.n - 1):
-            return -1
-        return 0
-
-    def is_boundary(self, k: int, l: int) -> bool:
-        return {k, l} == {1, self.n}
-
-    def sources(self, max_degree: int):
-        out = []
-        for total in range(max_degree + 1):
-            out.extend(enumerate_affine_total(self.n, total))
-        return out
-
-    def transitions(self, kind: str, node: int, src):
-        return self.action.transitions(kind, node, src)
-
-    def psi(self, p, node: int) -> FactoredExpr:
-        return self.action.psi_eigenvalue(p, node)
-
-    def psi_hat(self, p) -> FactoredExpr:
-        return self.action.psi_hat_eigenvalue(p)
-
-    def psi_mode(self, p, node: int, m: int, sign: str) -> FactoredExpr:
-        return self.action.psi_mode(p, node, m, sign)
+def _cartan(action, k: int, l: int) -> int:
+    """Cyclic Cartan entry a_{kl}; on the finite nodes 1..n-1 it is the
+    type-A entry."""
+    if k == l:
+        return 2
+    return -1 if (k - l) % action.n in (1, action.n - 1) else 0
 
 
-def _compositions(total: int, parts: int):
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    for head in range(total + 1):
-        for tail in _compositions(total - head, parts - 1):
-            yield (head,) + tail
+def _sources(action, max_degree: int):
+    """All patterns of total degree at most max_degree, by total degree;
+    finite patterns then by degree vector."""
+    if action.affine:
+        return [p for total in range(max_degree + 1)
+                for p in enumerate_affine_total(action.n, total)]
+    degrees = sorted((sum(deg), deg) for deg in itertools.product(
+        range(max_degree + 1), repeat=action.n - 1))
+    return [p for total, deg in degrees if total <= max_degree
+            for p in enumerate_finite(action.n, deg)]
 
 
 # -- evaluation strategies ------------------------------------------------------
@@ -364,11 +307,13 @@ def _relation_seed(seed: int, rel: RelationId, scope: dict) -> int:
     return int.from_bytes(hashlib.sha256(text.encode()).digest()[:8], "big")
 
 
-def _make_eval(model, strategy, rel, scope, seed, trials):
+def _make_eval(action, strategy, rel, scope, seed, trials):
     if strategy == SYMBOLIC:
-        return _SymbolicEval(model.ctx)
+        return _SymbolicEval(action.ctx)
+    if strategy != RANDOM:
+        raise ValueError("unknown strategy %r" % strategy)
     rng = random.Random(_relation_seed(seed, rel, scope))
-    return _RandomEval(model.ctx, rng, trials)
+    return _RandomEval(action.ctx, rng, trials)
 
 
 _ATTEMPTS = 13
@@ -393,21 +338,23 @@ class _Check:
         for tgt, residual in acc.items():
             self.entry(src, tgt, modes, residual)
 
-    def fail(self, src, tgt, modes, residual):
+    def fail(self, src, tgt, modes, residual, **extra):
+        """Record the counterexample; `extra` adds keys to it."""
         self.counterexample = {
             "source": src.to_json(),
             "target": tgt.to_json(),
             "modes": modes,
             "residual": self.ev.payload(residual),
+            **extra,
         }
 
 
-def _run(model, rel, scope, strategy, seed, trials, body):
+def _run(action, rel, scope, strategy, seed, trials, body):
     """Drive `body(ev, check)`, resampling on unlucky random points; when
     every attempt hits a vanishing denominator the report has status
     "error"."""
     for attempt in range(_ATTEMPTS):
-        ev = _make_eval(model, strategy, rel, scope, seed + attempt, trials)
+        ev = _make_eval(action, strategy, rel, scope, seed + attempt, trials)
         check = _Check(ev)
         try:
             body(ev, check)
@@ -422,8 +369,8 @@ def _run(model, rel, scope, strategy, seed, trials, body):
         % _ATTEMPTS)
 
 
-def _scope(model, strategy, seed, trials, **extra):
-    out = {"n": model.n, "module": "affine" if model.affine else "finite",
+def _scope(action, strategy, seed, trials, **extra):
+    out = {"n": action.n, "module": "affine" if action.affine else "finite",
            "strategy": strategy, "seed": seed}
     if strategy == RANDOM:
         out["trials"] = trials
@@ -440,13 +387,13 @@ class _PathTable:
     character keys (used by the Serre group decomposition).
     """
 
-    def __init__(self, model, ev, legs, src, keep_symbolic: bool = False):
+    def __init__(self, action, ev, legs, src, keep_symbolic: bool = False):
         # legs are (kind, node, beta_shift) applied right to left
         rows = [(src, None, (), ())]
         for kind, node, shift in legs:
             out = []
             for tgt, base, betas, sbetas in rows:
-                for tr in model.transitions(kind, node, tgt):
+                for tr in action.transitions(kind, node, tgt):
                     b = ev.lift(tr.base)
                     beta = ev.lift(tr.beta)
                     sbeta = tr.beta
@@ -503,10 +450,10 @@ def _twisted(acc, t_lk, t_kl, a, b, c, zero):
     return acc
 
 
-def _serre_tables(model, ev, kind, i, j, src):
+def _serre_tables(action, ev, kind, i, j, src):
     """Path tables of X_i X_i X_j, X_i X_j X_i and X_j X_i X_i, legs listed
     right-to-left, with symbolic betas kept as character keys."""
-    return tuple(_PathTable(model, ev, [(kind, node, None) for node in legs],
+    return tuple(_PathTable(action, ev, [(kind, node, None) for node in legs],
                             src, keep_symbolic=True)
                  for legs in ((j, i, i), (i, j, i), (i, i, j)))
 
@@ -524,8 +471,9 @@ def _serre(acc, tables, a, b, c, coeff, zero):
 # -- relation families ----------------------------------------------------------
 
 
-def verify_xx_same(model, kind: str, k: int, window: int = 2, max_degree: int = 3,
-                   strategy: str = SYMBOLIC, seed: int = 0, trials: int = 5,
+def verify_xx_same(action, kind: str, k: int, window: int = 2,
+                   max_degree: int = 3, strategy: str = SYMBOLIC,
+                   seed: int = 0, trials: int = 5,
                    mutate: str = None) -> VerificationReport:
     """Same-node relation in mode form:
     X_{a+1}X_b - c X_a X_{b+1} = c X_b X_{a+1} - X_{b+1} X_a
@@ -534,13 +482,13 @@ def verify_xx_same(model, kind: str, k: int, window: int = 2, max_degree: int = 
     cexp = -2 if kind == "f" else 2
     if mutate == "halved_twist":
         cexp //= 2
-    return _xx(model, RelationId("xx_same", kind, (k,)), kind, k, k, cexp,
+    return _xx(action, RelationId("xx_same", kind, (k,)), kind, k, k, cexp,
                None, None, window, max_degree, strategy, seed, trials, mutate)
 
 
-def verify_xx_pair(model, kind: str, k: int, l: int, window: int = 2,
-                   max_degree: int = 3, strategy: str = SYMBOLIC, seed: int = 0,
-                   trials: int = 5, mutate: str = None,
+def verify_xx_pair(action, kind: str, k: int, l: int, window: int = 2,
+                   max_degree: int = 3, strategy: str = SYMBOLIC,
+                   seed: int = 0, trials: int = 5, mutate: str = None,
                    boundary: bool = False) -> VerificationReport:
     """Distinct-node relation in mode form.
 
@@ -550,7 +498,7 @@ def verify_xx_pair(model, kind: str, k: int, l: int, window: int = 2,
     hat-shifted (beta -> beta (v^n u^2)^{-1}), giving the toroidal relation.
     """
     family = "tor_xx_boundary" if boundary else "xx_adjacent"
-    a_kl = -1 if boundary else model.cartan(k, l)
+    a_kl = -1 if boundary else _cartan(action, k, l)
     cexp = None
     if a_kl:
         cexp = -a_kl if kind == "f" else a_kl
@@ -558,28 +506,29 @@ def verify_xx_pair(model, kind: str, k: int, l: int, window: int = 2,
             cexp *= 2
     sh_k = sh_l = None
     if boundary:
-        shift = 1 / model.action.hat_scale
-        sh_k = shift if k == model.n else None
-        sh_l = shift if l == model.n else None
-    return _xx(model, RelationId(family, kind, (k, l)), kind, k, l, cexp,
+        shift = 1 / action.hat_scale
+        sh_k = shift if k == action.n else None
+        sh_l = shift if l == action.n else None
+    return _xx(action, RelationId(family, kind, (k, l)), kind, k, l, cexp,
                sh_k, sh_l, window, max_degree, strategy, seed, trials, mutate)
 
 
-def _xx(model, rel, kind, k, l, cexp, sh_k, sh_l, window, max_degree,
+def _xx(action, rel, kind, k, l, cexp, sh_k, sh_l, window, max_degree,
         strategy, seed, trials, mutate):
     """The twisted identity with c = v^cexp (the commutator when cexp is
     None) at every windowed mode pair; when k == l one path table serves
     both orders."""
-    scope = _scope(model, strategy, seed, trials, max_degree=max_degree,
+    scope = _scope(action, strategy, seed, trials, max_degree=max_degree,
                    window=window, mutate=mutate or "")
-    sources = model.sources(max_degree)
+    sources = _sources(action, max_degree)
 
     def body(ev, check):
         c = None if cexp is None else ev.var("v") ** cexp
         for src in sources:
-            t_lk = _PathTable(model, ev, [(kind, l, sh_l), (kind, k, sh_k)], src)
+            t_lk = _PathTable(action, ev, [(kind, l, sh_l), (kind, k, sh_k)],
+                              src)
             t_kl = t_lk if k == l else _PathTable(
-                model, ev, [(kind, k, sh_k), (kind, l, sh_l)], src)
+                action, ev, [(kind, k, sh_k), (kind, l, sh_l)], src)
             if not (t_lk.rows or t_kl.rows):
                 continue
             for a in range(-window, window + 1):
@@ -587,38 +536,42 @@ def _xx(model, rel, kind, k, l, cexp, sh_k, sh_l, window, max_degree,
                     check.acc(src, _twisted({}, t_lk, t_kl, a, b, c, ev.zero),
                               [a, b])
 
-    return _run(model, rel, scope, strategy, seed, trials, body)
+    return _run(action, rel, scope, strategy, seed, trials, body)
 
 
-def verify_commutator(model, k: int, l: int, window: int = 2, max_degree: int = 3,
-                      strategy: str = SYMBOLIC, seed: int = 0, trials: int = 5,
+def verify_commutator(action, k: int, l: int, window: int = 2,
+                      max_degree: int = 3, strategy: str = SYMBOLIC,
+                      seed: int = 0, trials: int = 5,
                       mutate: str = None) -> VerificationReport:
     """[e_{k,a}, f_{l,b}] = delta_{kl} (psi^+ - psi^-)_{k,a+b} / (v^2-1)."""
     rel = RelationId("x_commutator", "", (k, l))
-    scope = _scope(model, strategy, seed, trials, max_degree=max_degree,
+    scope = _scope(action, strategy, seed, trials, max_degree=max_degree,
                    window=window, mutate=mutate or "")
-    sources = model.sources(max_degree)
+    sources = _sources(action, max_degree)
 
     def body(ev, check):
         v = ev.var("v")
         divisor = (v - 1 / v) if mutate == "textbook_divisor" else (v * v - 1)
         for src in sources:
-            t_ef = _PathTable(model, ev, [("f", l, None), ("e", k, None)], src)
-            t_fe = _PathTable(model, ev, [("e", k, None), ("f", l, None)], src)
+            t_ef = _PathTable(action, ev, [("f", l, None), ("e", k, None)],
+                              src)
+            t_fe = _PathTable(action, ev, [("e", k, None), ("f", l, None)],
+                              src)
             for a in range(-window, window + 1):
                 for b in range(-window, window + 1):
                     acc = _twisted({}, t_ef, t_fe, a, b, None, ev.zero)
                     if k == l:
                         m = a + b
-                        diag = (ev.lift(model.psi_mode(src, k, m, "+"))
-                                - ev.lift(model.psi_mode(src, k, m, "-"))) / divisor
+                        diag = (ev.lift(action.psi_mode(src, k, m, "+"))
+                                - ev.lift(action.psi_mode(src, k, m, "-"))
+                                ) / divisor
                         acc[src] = acc.get(src, ev.zero) - diag
                     check.acc(src, acc, [a, b])
 
-    return _run(model, rel, scope, strategy, seed, trials, body)
+    return _run(action, rel, scope, strategy, seed, trials, body)
 
 
-def verify_psi_x(model, k: int, l: int, kind: str, max_degree: int = 3,
+def verify_psi_x(action, k: int, l: int, kind: str, max_degree: int = 3,
                  strategy: str = SYMBOLIC, seed: int = 0, trials: int = 5,
                  boundary: str = None, mutate: str = None) -> VerificationReport:
     """psi-x relation as the per-transition rational identity.
@@ -637,10 +590,10 @@ def verify_psi_x(model, k: int, l: int, kind: str, max_degree: int = 3,
     family = {None: "psi_x", "psi_hat": "tor_psix_boundary_a",
               "x_hat": "tor_psix_boundary_b"}[boundary]
     rel = RelationId(family, kind, (k, l))
-    scope = _scope(model, strategy, seed, trials, max_degree=max_degree,
+    scope = _scope(action, strategy, seed, trials, max_degree=max_degree,
                    window="rational", mutate=mutate or "")
-    sources = model.sources(max_degree)
-    a_kl = -1 if boundary else model.cartan(k, l)
+    sources = _sources(action, max_degree)
+    a_kl = -1 if boundary else _cartan(action, k, l)
 
     def body(ev, check):
         z = ev.var("z")
@@ -649,44 +602,44 @@ def verify_psi_x(model, k: int, l: int, kind: str, max_degree: int = 3,
         shifted = mutate != "unshifted"
         for src in sources:
             if boundary == "psi_hat" and shifted:
-                psi_src = ev.lift(model.psi_hat(src))
+                psi_src = ev.lift(action.psi_hat_eigenvalue(src))
             else:
-                psi_src = ev.lift(model.psi(src, l))
-            for tr in model.transitions(kind, k, src):
+                psi_src = ev.lift(action.psi_eigenvalue(src, l))
+            for tr in action.transitions(kind, k, src):
                 beta = ev.lift(tr.beta)
                 if boundary == "x_hat" and shifted:
-                    beta = beta * ev.lift(1 / model.action.hat_scale)
+                    beta = beta * ev.lift(1 / action.hat_scale)
                 if boundary == "psi_hat" and shifted:
-                    psi_tgt = ev.lift(model.psi_hat(tr.target))
+                    psi_tgt = ev.lift(action.psi_hat_eigenvalue(tr.target))
                 else:
-                    psi_tgt = ev.lift(model.psi(tr.target, l))
+                    psi_tgt = ev.lift(action.psi_eigenvalue(tr.target, l))
                 check.entry(src, tr.target, ["rational identity"],
                             (z - c * beta) * psi_tgt - (c * z - beta) * psi_src)
 
-    return _run(model, rel, scope, strategy, seed, trials, body)
+    return _run(action, rel, scope, strategy, seed, trials, body)
 
 
-def verify_psi_psi(model, k: int, l: int, max_degree: int = 3,
+def verify_psi_psi(action, k: int, l: int, max_degree: int = 3,
                    strategy: str = SYMBOLIC, seed: int = 0,
                    trials: int = 5) -> VerificationReport:
     """psi-series commute: all psi operators are diagonal in one basis, so
     the products in either order agree; the check asserts the diagonal
     eigenvalue products and that no off-diagonal entries exist anywhere."""
     rel = RelationId("psi_psi", "", (k, l))
-    scope = _scope(model, strategy, seed, trials, max_degree=max_degree,
+    scope = _scope(action, strategy, seed, trials, max_degree=max_degree,
                    window="rational")
-    sources = model.sources(max_degree)
+    sources = _sources(action, max_degree)
 
     def body(ev, check):
         for src in sources:
-            a = ev.lift(model.psi(src, k))
-            b = ev.lift(model.psi(src, l))
+            a = ev.lift(action.psi_eigenvalue(src, k))
+            b = ev.lift(action.psi_eigenvalue(src, l))
             check.entry(src, src, ["diagonal"], a * b - b * a)
 
-    return _run(model, rel, scope, strategy, seed, trials, body)
+    return _run(action, rel, scope, strategy, seed, trials, body)
 
 
-def verify_serre(model, kind: str, i: int, j: int, window: int = 2,
+def verify_serre(action, kind: str, i: int, j: int, window: int = 2,
                  max_degree: int = 3, strategy: str = SYMBOLIC, seed: int = 0,
                  trials: int = 5, mutate: str = None) -> VerificationReport:
     """Cubic Serre relation in mode form, symmetrized over the two like modes:
@@ -702,15 +655,15 @@ def verify_serre(model, kind: str, i: int, j: int, window: int = 2,
     sweep finds none, the surviving group itself is the counterexample.
     """
     rel = RelationId("serre", kind, (i, j))
-    scope = _scope(model, strategy, seed, trials, max_degree=max_degree,
+    scope = _scope(action, strategy, seed, trials, max_degree=max_degree,
                    window=window, mutate=mutate or "")
-    sources = model.sources(max_degree)
+    sources = _sources(action, max_degree)
 
     def body(ev, check):
         v = ev.var("v")
         coeff = ev.zero + 2 if mutate == "flattened" else v + 1 / v
         for src in sources:
-            tables = _serre_tables(model, ev, kind, i, j, src)
+            tables = _serre_tables(action, ev, kind, i, j, src)
             if not any(table.rows for table in tables):
                 continue
             groups = {}
@@ -740,7 +693,7 @@ def verify_serre(model, kind: str, i: int, j: int, window: int = 2,
                 tgt, total = failing
                 check.fail(src, tgt, ["character group"], total)
 
-    return _run(model, rel, scope, strategy, seed, trials, body)
+    return _run(action, rel, scope, strategy, seed, trials, body)
 
 
 def _serre_sweep(check, src, tables, coeff, window):
@@ -764,21 +717,20 @@ def _serre_sweep(check, src, tables, coeff, window):
 # -- gl_n zero-mode families ---------------------------------------------------
 
 
-def verify_gl_zero_modes(model: FiniteModel, max_degree: int = 3,
+def verify_gl_zero_modes(action, max_degree: int = 3,
                          strategy: str = SYMBOLIC, seed: int = 0,
                          trials: int = 5) -> list:
     """The five zero-mode relation families, plus the closed-form
     coefficient comparison for the raising/lowering generators."""
-    action = model.action
-    n = model.n
-    sources = model.sources(max_degree)
+    n = action.n
+    sources = _sources(action, max_degree)
     reports = []
 
     def run_family(name, nodes, body):
         rel = RelationId(name, "", nodes)
-        scope = _scope(model, strategy, seed, trials, max_degree=max_degree,
+        scope = _scope(action, strategy, seed, trials, max_degree=max_degree,
                        window=0)
-        reports.append(_run(model, rel, scope, strategy, seed, trials, body))
+        reports.append(_run(action, rel, scope, strategy, seed, trials, body))
 
     # Cartan family: diagonal operators commute and invert
     def cartan_body(ev, check):
@@ -797,7 +749,7 @@ def verify_gl_zero_modes(model: FiniteModel, max_degree: int = 3,
         for src in sources:
             for jn in range(1, n):
                 for kind, sgn in (("e", 1), ("f", -1)):
-                    for tr in model.transitions(kind, jn, src):
+                    for tr in action.transitions(kind, jn, src):
                         for ti in range(1, n + 1):
                             tw = sgn * ((ti == jn) - (ti == jn + 1))
                             lhs = (ev.lift(action.t_cartan_eigenvalue(tr.target, ti))
@@ -816,10 +768,10 @@ def verify_gl_zero_modes(model: FiniteModel, max_degree: int = 3,
         for src in sources:
             for ki in range(1, n):
                 for li in range(1, n):
-                    t_ef = _PathTable(model, ev, [("f", li, None),
-                                                  ("e", ki, None)], src)
-                    t_fe = _PathTable(model, ev, [("e", ki, None),
-                                                  ("f", li, None)], src)
+                    t_ef = _PathTable(action, ev, [("f", li, None),
+                                                   ("e", ki, None)], src)
+                    t_fe = _PathTable(action, ev, [("e", ki, None),
+                                                   ("f", li, None)], src)
                     acc = _twisted({}, t_ef, t_fe, 0, 0, None, ev.zero)
                     if ki == li:
                         kk = (ev.lift(action.t_cartan_eigenvalue(src, ki))
@@ -836,10 +788,10 @@ def verify_gl_zero_modes(model: FiniteModel, max_degree: int = 3,
             for kind in ("e", "f"):
                 for ki in range(1, n):
                     for li in range(ki + 2, n):
-                        t_lk = _PathTable(model, ev, [(kind, li, None),
-                                                      (kind, ki, None)], src)
-                        t_kl = _PathTable(model, ev, [(kind, ki, None),
-                                                      (kind, li, None)], src)
+                        t_lk = _PathTable(action, ev, [(kind, li, None),
+                                                       (kind, ki, None)], src)
+                        t_kl = _PathTable(action, ev, [(kind, ki, None),
+                                                       (kind, li, None)], src)
                         check.acc(src, _twisted({}, t_lk, t_kl, 0, 0, None,
                                                 ev.zero), [kind, ki, li])
 
@@ -854,7 +806,7 @@ def verify_gl_zero_modes(model: FiniteModel, max_degree: int = 3,
                     for jj in (ii - 1, ii + 1):
                         if not (1 <= jj <= n - 1):
                             continue
-                        tables = _serre_tables(model, ev, kind, ii, jj, src)
+                        tables = _serre_tables(action, ev, kind, ii, jj, src)
                         check.acc(src, _serre({}, tables, 0, 0, 0, coeff,
                                               ev.zero), [kind, ii, jj])
 
@@ -866,7 +818,7 @@ def verify_gl_zero_modes(model: FiniteModel, max_degree: int = 3,
             for node in range(1, n):
                 for kind, closed in (("f", action.feigin_f_coeff),
                                      ("e", action.feigin_e_coeff)):
-                    for tr in model.transitions(kind, node, src):
+                    for tr in action.transitions(kind, node, src):
                         check.entry(src, tr.target, [kind, node, tr.column],
                                     ev.lift(tr.base)
                                     - ev.lift(closed(src, node, tr.column)))
@@ -883,38 +835,36 @@ def loop_suite(n: int, max_degree: int = 3, window: int = 2,
                strategy: str = SYMBOLIC, seed: int = 0,
                trials: int = 5) -> list:
     """All relation families of the loop algebra on the finite module."""
-    model = FiniteModel(n)
+    action = FiniteAction(n)
     common = dict(max_degree=max_degree, strategy=strategy, seed=seed,
                   trials=trials)
+    windowed = dict(common, window=window)
     reports = []
-    nodes = list(model.x_nodes())
+    nodes = _nodes(action)
     for k in nodes:
         for l in nodes:
-            reports.append(verify_psi_psi(model, k, l, **common))
+            reports.append(verify_psi_psi(action, k, l, **common))
     for kind in ("e", "f"):
         for k in nodes:
             for l in nodes:
                 if k != l:
-                    reports.append(verify_psi_x(model, k, l, kind, **common))
-            reports.append(verify_psi_x(model, k, k, kind, **common))
+                    reports.append(verify_psi_x(action, k, l, kind, **common))
+            reports.append(verify_psi_x(action, k, k, kind, **common))
     for k in nodes:
         for l in nodes:
-            reports.append(verify_commutator(model, k, l, window=window, **common))
+            reports.append(verify_commutator(action, k, l, **windowed))
     for kind in ("e", "f"):
         for k in nodes:
-            reports.append(verify_xx_same(model, kind, k, window=window, **common))
+            reports.append(verify_xx_same(action, kind, k, **windowed))
         for k in nodes:
             for l in nodes:
                 if k != l:
                     reports.append(
-                        verify_xx_pair(model, kind, k, l, window=window, **common)
-                    )
+                        verify_xx_pair(action, kind, k, l, **windowed))
         for i in nodes:
             for j in (i - 1, i + 1):
-                if 1 <= j <= n - 1:
-                    reports.append(
-                        verify_serre(model, kind, i, j, window=window, **common)
-                    )
+                if j in nodes:
+                    reports.append(verify_serre(action, kind, i, j, **windowed))
     return reports
 
 
@@ -922,50 +872,43 @@ def toroidal_suite(n: int = 3, max_degree: int = 2, window: int = 2,
                    strategy: str = SYMBOLIC, seed: int = 0,
                    trials: int = 5) -> list:
     """Relations (1)-(6) cyclically plus the boundary modifications."""
-    model = AffineModel(n)
+    action = ToroidalAction(n)
     common = dict(max_degree=max_degree, strategy=strategy, seed=seed,
                   trials=trials)
+    windowed = dict(common, window=window)
     reports = []
-    nodes = list(model.x_nodes())
+    nodes = _nodes(action)
     for k in nodes:
         for l in nodes:
-            reports.append(verify_psi_psi(model, k, l, **common))
+            reports.append(verify_psi_psi(action, k, l, **common))
     for kind in ("e", "f"):
         for k in nodes:
             for l in nodes:
-                if model.is_boundary(k, l) and k != l:
+                if {k, l} == {1, n} and k != l:
                     continue  # replaced by the tor families below
-                reports.append(verify_psi_x(model, k, l, kind, **common))
+                reports.append(verify_psi_x(action, k, l, kind, **common))
     for k in nodes:
         for l in nodes:
-            reports.append(verify_commutator(model, k, l, window=window, **common))
+            reports.append(verify_commutator(action, k, l, **windowed))
     for kind in ("e", "f"):
         for k in nodes:
-            reports.append(verify_xx_same(model, kind, k, window=window, **common))
+            reports.append(verify_xx_same(action, kind, k, **windowed))
         for k in nodes:
             for l in nodes:
-                if k == l or model.is_boundary(k, l):
-                    continue
-                reports.append(
-                    verify_xx_pair(model, kind, k, l, window=window, **common)
-                )
+                if k != l and {k, l} != {1, n}:
+                    reports.append(
+                        verify_xx_pair(action, kind, k, l, **windowed))
         for i in nodes:
             for j in ((i % n) + 1, ((i - 2) % n) + 1):
                 if i != j:
-                    reports.append(
-                        verify_serre(model, kind, i, j, window=window, **common)
-                    )
+                    reports.append(verify_serre(action, kind, i, j, **windowed))
         # boundary families with the shifted node-n series
         reports.append(
-            verify_xx_pair(model, kind, n, 1, window=window, boundary=True,
-                           **common)
-        )
+            verify_xx_pair(action, kind, n, 1, boundary=True, **windowed))
         reports.append(
-            verify_psi_x(model, 1, n, kind, boundary="psi_hat", **common)
-        )
+            verify_psi_x(action, 1, n, kind, boundary="psi_hat", **common))
         reports.append(
-            verify_psi_x(model, n, 1, kind, boundary="x_hat", **common)
-        )
+            verify_psi_x(action, n, 1, kind, boundary="x_hat", **common))
     return reports
 
 
@@ -973,23 +916,19 @@ def negative_controls(n: int = 3, max_degree: int = 2, window: int = 1,
                       strategy: str = SYMBOLIC, seed: int = 0,
                       trials: int = 5) -> list:
     """Mutated relations; every report here must FAIL with a counterexample."""
-    fm = FiniteModel(max(n, 3))
+    n = max(n, 3)
+    finite, affine = FiniteAction(n), ToroidalAction(n)
     common = dict(max_degree=max_degree, strategy=strategy, seed=seed,
-                  trials=trials, window=window)
-    reports = [
-        verify_xx_same(fm, "f", 1, mutate="halved_twist", **common),
-        verify_xx_pair(fm, "f", 1, 2, mutate="squared_twist", **common),
-        verify_serre(fm, "f", 1, 2, mutate="flattened", **common),
-        verify_commutator(fm, 1, 1, mutate="textbook_divisor", **common),
+                  trials=trials)
+    windowed = dict(common, window=window)
+    return [
+        verify_xx_same(finite, "f", 1, mutate="halved_twist", **windowed),
+        verify_xx_pair(finite, "f", 1, 2, mutate="squared_twist", **windowed),
+        verify_serre(finite, "f", 1, 2, mutate="flattened", **windowed),
+        verify_commutator(finite, 1, 1, mutate="textbook_divisor",
+                          **windowed),
+        verify_psi_x(affine, 1, n, "f", boundary="psi_hat",
+                     mutate="unshifted", **common),
+        verify_xx_pair(affine, "f", n, 1, boundary=True,
+                       mutate="squared_twist", **windowed),
     ]
-    am = AffineModel(max(n, 3))
-    reports.append(
-        verify_psi_x(am, 1, am.n, "f", boundary="psi_hat", mutate="unshifted",
-                     max_degree=max_degree, strategy=strategy, seed=seed,
-                     trials=trials)
-    )
-    reports.append(
-        verify_xx_pair(am, "f", am.n, 1, boundary=True, mutate="squared_twist",
-                       **common)
-    )
-    return reports

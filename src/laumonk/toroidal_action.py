@@ -31,6 +31,8 @@ from .patterns import AffinePattern, ceil_div, p_weight
 class ToroidalAction:
     """Operator calculus on affine patterns for a fixed rank n >= 3."""
 
+    affine = True
+
     def __init__(self, n: int):
         if n < 3:
             raise ActionError("toroidal operators need n >= 3")

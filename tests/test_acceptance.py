@@ -25,7 +25,6 @@ from laumonk.finite_action import FiniteAction
 from laumonk.patterns import AffinePattern, enumerate_affine_total, \
     enumerate_finite
 from laumonk.relations import (
-    FiniteModel,
     loop_suite,
     negative_controls,
     toroidal_suite,
@@ -73,7 +72,7 @@ def test_criterion_1_finite_relation_suite():
 def test_criterion_2_zero_mode_suite():
     failures = []
     for n in (2, 3, 4):
-        reports = verify_gl_zero_modes(FiniteModel(n), max_degree=3,
+        reports = verify_gl_zero_modes(FiniteAction(n), max_degree=3,
                                        strategy="symbolic", seed=0)
         failures += [(n, r.relation.key()) for r in reports if not r.passed]
     _announce("2 zero-mode suite (n <= 4, |d| <= 3)", not failures,

@@ -184,3 +184,11 @@ def test_config_file_defaults_and_flag_override(tmp_path):
     assert run_cli(["verify", "--suite", "loop", "--config", str(typo),
                     "--out", str(out)]) == 2
     assert not out.exists()
+    # config values pass the checks of their flags: choices and type
+    for bad in ({"strategy": "bogus", "n": 2, "max_degree": 1},
+                {"trials": 2.5, "strategy": "random", "n": 2,
+                 "max_degree": 1}):
+        typo.write_text(json.dumps(bad))
+        assert run_cli(["verify", "--suite", "loop", "--config", str(typo),
+                        "--out", str(out)]) == 2, bad
+        assert not out.exists()

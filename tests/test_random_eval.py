@@ -13,7 +13,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from laumonk.relations import FiniteModel, RVec, _RandomEval, _Resample
+from laumonk.finite_action import FiniteAction
+from laumonk.patterns import FinitePattern
+from laumonk.relations import RVec, _RandomEval, _Resample
 
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True,
                     database=None,
@@ -124,7 +126,7 @@ def test_a_zero_numerator_with_any_denominator_is_zero():
 
 @pytest.fixture(scope="module")
 def fm2():
-    return FiniteModel(2)
+    return FiniteAction(2)
 
 
 def _evaluator(model, seed=1):
@@ -154,7 +156,7 @@ def test_equal_expressions_built_apart_share_one_lift(fm2):
     a, b = build(), build()
     assert a is not b
     assert ev.lift(a) is ev.lift(b)
-    src = fm2.sources(2)[-1]
+    src = FinitePattern(2, [[2]])
     p, q = fm2.psi_mode(src, 1, 2, "+"), fm2.psi_mode(src, 1, 2, "+")
     assert p is not q
     assert ev.lift(p) is ev.lift(q)

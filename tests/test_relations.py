@@ -5,10 +5,8 @@ import pytest
 
 from laumonk import relations
 from laumonk.finite_action import FiniteAction
-from laumonk.patterns import enumerate_finite, neighbors
+from laumonk.patterns import FinitePattern, enumerate_finite, neighbors
 from laumonk.relations import (
-    AffineModel,
-    FiniteModel,
     RelationId,
     _Resample,
     _run,
@@ -21,21 +19,22 @@ from laumonk.relations import (
     verify_xx_pair,
     verify_xx_same,
 )
+from laumonk.toroidal_action import ToroidalAction
 
 
 @pytest.fixture(scope="module")
 def fm2():
-    return FiniteModel(2)
+    return FiniteAction(2)
 
 
 @pytest.fixture(scope="module")
 def fm3():
-    return FiniteModel(3)
+    return FiniteAction(3)
 
 
 @pytest.fixture(scope="module")
 def am3():
-    return AffineModel(3)
+    return ToroidalAction(3)
 
 
 def test_xx_same_passes(fm2, fm3):
@@ -62,7 +61,7 @@ def test_xx_same_entry_count_matches_prediction(fm2):
 
 def test_xx_adjacent_and_distant(fm3):
     assert verify_xx_pair(fm3, "f", 1, 2, window=1, max_degree=2).passed
-    fm4 = FiniteModel(4)
+    fm4 = FiniteAction(4)
     rep = verify_xx_pair(fm4, "f", 1, 3, window=1, max_degree=2)
     assert rep.passed  # a_{13} = 0: plain commutation
 
@@ -73,7 +72,7 @@ def test_commutator_diagonal_value(fm2):
     ctx = fm2.ctx
     t1, t2 = ctx.t
     v = ctx.v
-    zero = fm2.sources(0)[0]
+    zero = FinitePattern.zero(2)
     ef = ctx.zero
     for tr in fm2.transitions("f", 1, zero):
         for tr2 in fm2.transitions("e", 1, tr.target):
@@ -86,7 +85,7 @@ def test_commutator_diagonal_value(fm2):
 
 def test_commutator_beyond_support(fm2):
     # at a + b = 5 only the plus-series contributes
-    zero = fm2.sources(0)[0]
+    zero = FinitePattern.zero(2)
     assert fm2.psi_mode(zero, 1, 5, "-").is_zero
     assert not fm2.psi_mode(zero, 1, 5, "+").is_zero
 
@@ -104,20 +103,21 @@ def test_psi_x_ratio_closed_forms(fm2, fm3):
     # v^{-2} (1 - z^{-1} v^{l+2} s) / (1 - z^{-1} v^{l-2} s)
     ctx = fm2.ctx
     v, z = ctx.v, ctx.z
-    zero = fm2.sources(0)[0]
+    zero = FinitePattern.zero(2)
     (tr,) = fm2.transitions("f", 1, zero)
-    s = fm2.action.s(zero, 1, 1)
-    lhs = fm2.psi(tr.target, 1) / fm2.psi(zero, 1)
+    s = fm2.s(zero, 1, 1)
+    lhs = fm2.psi_eigenvalue(tr.target, 1) / fm2.psi_eigenvalue(zero, 1)
     rhs = v ** -2 * (1 - z ** -1 * v ** 3 * s) / (1 - z ** -1 * v ** -1 * s)
     assert lhs == rhs
     # a transition one row above the psi node multiplies it by
     # v (1 - z^{-1} v^{l} s) / (1 - z^{-1} v^{l+2} s)
     ctx3 = fm3.ctx
     v3, z3 = ctx3.v, ctx3.z
-    zero3 = fm3.sources(0)[0]
+    zero3 = FinitePattern.zero(3)
     for tr in fm3.transitions("f", 2, zero3):
-        s = fm3.action.s(zero3, 2, tr.column)
-        lhs = fm3.psi(tr.target, 1) / fm3.psi(zero3, 1)
+        s = fm3.s(zero3, 2, tr.column)
+        lhs = fm3.psi_eigenvalue(tr.target, 1) \
+            / fm3.psi_eigenvalue(zero3, 1)
         rhs = v3 * (1 - z3 ** -1 * v3 ** 1 * s) \
             / (1 - z3 ** -1 * v3 ** 3 * s)
         assert lhs == rhs
@@ -171,6 +171,12 @@ def test_negative_controls_fail_with_counterexamples():
         assert rep.counterexample["residual"]
 
 
+def test_unknown_strategy_is_rejected(fm2):
+    with pytest.raises(ValueError, match="unknown strategy"):
+        verify_xx_same(fm2, "f", 1, window=1, max_degree=1,
+                       strategy="bogus")
+
+
 def test_report_determinism(fm2):
     a = verify_xx_same(fm2, "f", 1, window=1, max_degree=2,
                        strategy="random", seed=42)
@@ -181,7 +187,7 @@ def test_report_determinism(fm2):
 
 
 def test_gl_zero_modes_small():
-    reports = verify_gl_zero_modes(FiniteModel(3), max_degree=2)
+    reports = verify_gl_zero_modes(FiniteAction(3), max_degree=2)
     assert all(r.passed for r in reports)
     names = {r.relation.family for r in reports}
     assert names == {"gl_cartan", "gl_twist", "gl_commutator", "gl_distant",
@@ -239,7 +245,7 @@ def test_gl_zero_mode_failures_are_pinned(monkeypatch, strategy):
 
     monkeypatch.setattr(FiniteAction, "t_cartan_eigenvalue", bad_cartan)
     monkeypatch.setattr(FiniteAction, "feigin_e_coeff", bad_feigin_e)
-    reports = verify_gl_zero_modes(FiniteModel(3), max_degree=2,
+    reports = verify_gl_zero_modes(FiniteAction(3), max_degree=2,
                                    strategy=strategy, seed=3, trials=3)
     failing = {r.relation.family: r.counterexample["modes"]
                for r in reports if r.status == "fail"}
