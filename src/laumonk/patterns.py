@@ -292,28 +292,20 @@ def enumerate_affine(n: int, deg) -> list:
     deg = tuple(int(x) for x in deg)
     if n < 2 or len(deg) != n:
         raise PatternError("affine degree vector must have n entries")
-    total = sum(deg)
-    results = []
-    sizes = range(total + 1)
-    for split in itertools.product(sizes, repeat=n):
-        if sum(split) != total:
-            continue
-        for lams in itertools.product(*(_partitions_of(m) for m in split)):
-            p = AffinePattern(n, lams)
-            if p.degree() == deg:
-                results.append(p)
-    results.sort(key=AffinePattern.sort_key)
-    return results
+    return enumerate_affine_total(n, sum(deg), deg=deg)
 
 
-def enumerate_affine_total(n: int, total: int) -> list:
-    """All affine patterns with total box count `total` (all degree vectors)."""
+def enumerate_affine_total(n: int, total: int, *, deg=None) -> list:
+    """All affine patterns with total box count `total`; with a degree
+    vector deg, only those of that degree (filtered before sorting)."""
     results = []
     for split in itertools.product(range(total + 1), repeat=n):
         if sum(split) != total:
             continue
         for lams in itertools.product(*(_partitions_of(m) for m in split)):
-            results.append(AffinePattern(n, lams))
+            p = AffinePattern(n, lams)
+            if deg is None or p.degree() == deg:
+                results.append(p)
     results.sort(key=AffinePattern.sort_key)
     return results
 
@@ -340,8 +332,9 @@ def neighbors(p, i: int, direction: int):
     """Single-box moves at node i: list of (column, new_pattern).
 
     Finite case: i in 1..n-1, columns 1..i.  Affine case: i is the node
-    representative in 1..n and columns range over j <= i (the whole periodic
-    class moves at once through the partition encoding).
+    representative in 1..n and columns range over j <= i by decreasing j
+    (the whole periodic class moves at once through the partition
+    encoding).
     """
     if direction not in (1, -1):
         raise PatternError("direction must be +1 or -1")
@@ -362,6 +355,5 @@ def neighbors(p, i: int, direction: int):
             q = p.bump(i, j, direction)
             if q is not None:
                 out.append((j, q))
-        out.sort(key=lambda pair: -pair[0])
         return out
     raise PatternError("unknown pattern type %r" % type(p))

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 from .exact import ExactError, FactoredExpr, LaurentContext
 from .finite_action import ActionError, column_ratios, move_beta, shaped
-from .patterns import AffinePattern, enumerate_affine
+from .patterns import AffinePattern, enumerate_affine, \
+    enumerate_affine_total, neighbors
 from .toroidal_action import ToroidalAction
 
 
@@ -262,12 +263,11 @@ class RenormalizedAction:
         return shaped(self.ctx, *self._parts(kind, src, i, j, r))
 
 
-def _closure_block(w: LevelWeight, ren: RenormalizedAction, deg):
-    """Basis and closure data of one graded block, and the moves that stay
-    inside D(mu) with well-defined values: (kind, source, node, column,
-    target) each."""
+def _closure_block(w: LevelWeight, ren: RenormalizedAction, deg, patterns):
+    """Basis and closure data of the graded block of degree deg, whose
+    patterns are given, and the moves that stay inside D(mu) with
+    well-defined values: (kind, source, node, column, target) each."""
     n = w.n
-    patterns = enumerate_affine(n, deg)
     basis = [p for p in patterns if in_D_mu(p, w)]
     defined = []
     violations_a = []
@@ -276,11 +276,7 @@ def _closure_block(w: LevelWeight, ren: RenormalizedAction, deg):
     for p in basis:
         for kind, direction in (("f", 1), ("e", -1)):
             for node in range(1, n + 1):
-                for m in range(p.max_length() + 1):
-                    j = node - m
-                    tgt = p.bump(node, j, direction)
-                    if tgt is None:
-                        continue
+                for j, tgt in neighbors(p, node, direction):
                     coeff = ren.coefficient(kind, p, node, j, 0)
                     member = in_D_mu(tgt, w)
                     if member:
@@ -323,7 +319,7 @@ def build_Vmu_block(w: LevelWeight, deg, window: int = 2,
     Violations are collected, not thrown.
     """
     ren = RenormalizedAction(w, u_exponent)
-    block, defined = _closure_block(w, ren, deg)
+    block, defined = _closure_block(w, ren, deg, enumerate_affine(w.n, deg))
     block["matrices"] = [
         {"kind": kind, "mode": r, "node": node, "source": p.to_json(),
          "target": tgt.to_json(),
@@ -337,17 +333,15 @@ def build_Vmu_block(w: LevelWeight, deg, window: int = 2,
 def closure_report(w: LevelWeight, max_total: int = 2,
                    u_exponent: int = None) -> dict:
     """Closure status over all degree blocks with total box count <= bound."""
-    from .patterns import enumerate_affine_total
-
     n = w.n
-    degrees = sorted(
-        {p.degree() for total in range(max_total + 1)
-         for p in enumerate_affine_total(n, total)}
-    )
+    by_degree = {}
+    for total in range(max_total + 1):
+        for p in enumerate_affine_total(n, total):
+            by_degree.setdefault(p.degree(), []).append(p)
     ren = RenormalizedAction(w, u_exponent)
     blocks = []
-    for deg in degrees:
-        block, _ = _closure_block(w, ren, deg)
+    for deg in sorted(by_degree):
+        block, _ = _closure_block(w, ren, deg, by_degree[deg])
         block.pop("basis")
         blocks.append(block)
     return {

@@ -140,9 +140,13 @@ def test_neighbors_one_unit_difference():
     for pat in enumerate_affine_total(3, 2):
         for node in (1, 2, 3):
             for direction in (1, -1):
-                for j, q in neighbors(pat, node, direction):
+                moves = neighbors(pat, node, direction)
+                for j, q in moves:
                     assert q.total() - pat.total() == direction
                     assert q.d(node, j) - pat.d(node, j) == direction
+                # affine moves come by decreasing column
+                columns = [j for j, _ in moves]
+                assert columns == sorted(set(columns), reverse=True)
 
 
 def test_affine_neighbors_move_whole_class():
