@@ -47,10 +47,9 @@ def cmd_patterns(args) -> int:
             pats = enumerate_affine_total(args.n, args.total)
         else:
             pats = enumerate_affine(args.n, _parse_int_list(args.deg))
-        listing = [p.to_json() for p in pats]
     else:
         pats = enumerate_finite(args.n, _parse_int_list(args.deg))
-        listing = [p.to_json() for p in pats]
+    listing = [p.to_json() for p in pats]
     payload = {
         "command": "patterns",
         "module": "affine" if args.affine else "finite",
@@ -146,10 +145,9 @@ def cmd_verify(args) -> int:
         # operators to the shifted node-n zero modes (constant across moves)
         action = ToroidalAction(args.n)
         ratios = {"e": set(), "f": set(), "k": set()}
-        for total in range(min(args.max_degree, 2) + 1):
-            for p in enumerate_affine_total(args.n, total):
-                for key, vals in action.chevalley_node0_ratios(p).items():
-                    ratios[key].update(vals)
+        for p in rel._sources(action, min(args.max_degree, 2)):
+            for key, vals in action.chevalley_node0_ratios(p).items():
+                ratios[key].update(vals)
         payload["chevalley_node0_ratios"] = {
             k: sorted(v) for k, v in ratios.items()}
     if args.suite == "controls":
@@ -171,9 +169,7 @@ def cmd_specialize(args) -> int:
     except WeightError as err:
         print("rejected: %s" % err, file=sys.stderr)
         return 2
-    u_exponent = None
-    if args.wrong_u:
-        u_exponent = -args.level - args.n + 1
+    u_exponent = -args.level - args.n + 1 if args.wrong_u else None
     report = closure_report(w, max_total=args.max_degree,
                             u_exponent=u_exponent)
     report["command"] = "specialize"
@@ -187,31 +183,23 @@ def cmd_specialize(args) -> int:
 
 def cmd_op_matrix(args) -> int:
     deg = _parse_int_list(args.deg)
-    entries = []
     if args.affine:
-        action = ToroidalAction(args.n)
-        sources = enumerate_affine(args.n, deg)
-        for p in sources:
-            for tr in action.transitions(args.kind, args.node, p):
-                entries.append({
-                    "source": p.to_json(),
-                    "target": tr.target.to_json(),
-                    "column": tr.column,
-                    "u_exponent": 2 * ceil_div(tr.column, args.n),
-                    "node_residue": (args.node - 1) % args.n + 1,
-                    "value": tr.coeff(args.mode).to_string(),
-                })
+        action, sources = ToroidalAction(args.n), enumerate_affine(args.n, deg)
     else:
-        action = FiniteAction(args.n)
-        sources = enumerate_finite(args.n, deg)
-        for p in sources:
-            for tr in action.transitions(args.kind, args.node, p):
-                entries.append({
-                    "source": p.to_json(),
-                    "target": tr.target.to_json(),
-                    "column": tr.column,
-                    "value": tr.coeff(args.mode).to_string(),
-                })
+        action, sources = FiniteAction(args.n), enumerate_finite(args.n, deg)
+    entries = []
+    for p in sources:
+        for tr in action.transitions(args.kind, args.node, p):
+            entry = {
+                "source": p.to_json(),
+                "target": tr.target.to_json(),
+                "column": tr.column,
+                "value": tr.coeff(args.mode).to_string(),
+            }
+            if args.affine:
+                entry["u_exponent"] = 2 * ceil_div(tr.column, args.n)
+                entry["node_residue"] = (args.node - 1) % args.n + 1
+            entries.append(entry)
     payload = {
         "command": "op-matrix",
         "module": "affine" if args.affine else "finite",
