@@ -5,13 +5,14 @@ reproducible seeded JSON reports.
 Subcommands:
 
 * patterns    -- enumerate finite or affine patterns with counts
-* verify      -- run a relation/oracle suite; exit 0 iff everything passes
+* verify      -- run one suite of SUITES; exit 0 iff everything passes
 * specialize  -- D(mu) block sizes and closure checks
 * op-matrix   -- matrix of one mode operator between degree blocks
 
 All reports are JSON with sorted keys; identical (config, seed) runs are
-byte-identical.  verify accepts --workers and runs every suite in one
-process; the option has no effect yet.
+byte-identical.  verify runs its suite in one process; --workers is
+accepted and has no effect yet.  A --config file supplies subcommand
+defaults, checked as flags are.
 """
 
 from __future__ import annotations
@@ -169,7 +170,9 @@ def cmd_specialize(args) -> int:
     except WeightError as err:
         print("rejected: %s" % err, file=sys.stderr)
         return 2
-    u_exponent = -args.level - args.n + 1 if args.wrong_u else None
+    u_exponent = None
+    if args.wrong_u:
+        u_exponent = -args.level - args.n + 1
     report = closure_report(w, max_total=args.max_degree,
                             u_exponent=u_exponent)
     report["command"] = "specialize"
