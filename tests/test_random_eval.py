@@ -129,8 +129,8 @@ def fm2():
     return FiniteAction(2)
 
 
-def _evaluator(model, seed=1):
-    return _RandomEval(model.ctx, random.Random(seed), 4)
+def _evaluator(action, seed=1):
+    return _RandomEval(action.ctx, random.Random(seed), 4)
 
 
 def _values(rvec):
