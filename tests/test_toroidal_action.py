@@ -111,10 +111,23 @@ def test_hat_mode_factor(T, pats):
                 series_coefficient(plain, AT_INFINITY, r) * T.hat_scale ** -r
 
 
-def test_psi_hat_is_scaled_node_n(T, pats):
-    for p in pats[:6]:
-        assert T.psi_hat_eigenvalue(p) == \
-            T.psi_eigenvalue(p, 3).scale_z(T.hat_scale)
+def test_psi_hat_is_scaled_node_n():
+    # reference: substitute z -> z v^n u^2 into the numerator and the
+    # denominator of the reduced node-n eigenvalue with sympy's compose
+    for n in (3, 4):
+        T = ToroidalAction(n)
+        ring = T.ctx.ring
+        t_u, t_v, t_z = ring.gens[n:]
+        shifted = t_z * t_v ** n * t_u ** 2
+        pats = [p for total in range(3)
+                for p in enumerate_affine_total(n, total)][:12]
+        assert len(pats) == 12
+        for p in pats:
+            plain = T.psi_eigenvalue(p, n).reduce().raw
+            num = plain.numer.compose(t_z, shifted)
+            den = plain.denom.compose(t_z, shifted)
+            hat = T.psi_hat_eigenvalue(p).reduce().raw
+            assert hat.numer * den == hat.denom * num
 
 
 def test_coefficients_are_products_of_nonzero_factors(T, pats):
