@@ -66,7 +66,7 @@ def cmd_patterns(args) -> int:
     return 0
 
 
-def oracle_suite(n: int, max_degree: int = 2, modes=(-1, 0, 1)) -> list:
+def oracle_suite(n: int, max_degree: int = 2) -> list:
     """Bott-Lefschetz equality and character-size checks as reports."""
     oracle = TangentOracle(n)
     action = ToroidalAction(n)
@@ -96,7 +96,7 @@ def oracle_suite(n: int, max_degree: int = 2, modes=(-1, 0, 1)) -> list:
                                      "correspondence size"],
                                     ctx.rational(corr.size() - expected - 1),
                                     size=corr.size())
-                        for r in modes:
+                        for r in (-1, 0, 1):
                             got = oracle.bott_coefficient(kind, p, node,
                                                           tr.column, r)
                             check.entry(p, tr.target,
@@ -104,7 +104,7 @@ def oracle_suite(n: int, max_degree: int = 2, modes=(-1, 0, 1)) -> list:
                                         got - tr.coeff(r))
 
     scope = rel._scope(action, rel.SYMBOLIC, 0, None, max_degree=max_degree,
-                       window=list(modes))
+                       window=[-1, 0, 1])
     return [rel._run(action, rel.RelationId("bott_oracle"), scope,
                      rel.SYMBOLIC, 0, None, body)]
 
@@ -122,7 +122,7 @@ SUITES = {
         strategy=args.strategy, seed=args.seed, trials=args.trials),
     "oracle": lambda args: oracle_suite(args.n, max_degree=args.max_degree),
     "controls": lambda args: rel.negative_controls(
-        max(args.n, 3), max_degree=min(args.max_degree, 2), window=1,
+        args.n, max_degree=min(args.max_degree, 2), window=1,
         strategy=args.strategy, seed=args.seed, trials=args.trials),
 }
 

@@ -206,10 +206,6 @@ class LaurentContext:
         """t_{(j mod n)} with residues taken in {1..n}."""
         return self.t[(j - 1) % self.n]
 
-    def monomial(self, texp=(), uexp=0, vexp=0, zexp=0, coeff=1) -> "FactoredExpr":
-        exps = list(texp) + [0] * (self.n - len(texp)) + [uexp, vexp, zexp]
-        return self.rational(coeff) * FactoredExpr(self, ((1, _pack(exps), ()),))
-
     def _frac(self, num, den):
         """Reduced field element num/den of two ring polynomials."""
         return self.field.raw_new(*_cancel(num, den))
@@ -249,17 +245,6 @@ class LaurentContext:
             tuple(x - s for x, s in zip(ex, shift)): QQ(poly[k])
             for k, ex in exps.items()})
         return shift, P
-
-    def _poly_term(self, poly: dict):
-        """(coeff, mono, factors) of a nonzero polynomial {packed: rational}."""
-        scale = 1
-        for c in poly.values():
-            if type(c) is Fraction:
-                scale = lcm(scale, c.denominator)
-        poly = {k: int(c * scale) for k, c in poly.items()}
-        unit, lead, key = _normalize(poly)
-        fac = ((self._factor_id(key), 1),) if len(key) > 1 else ()
-        return _qdiv(unit, scale), lead, fac
 
     def __repr__(self):
         return "LaurentContext(n=%d)" % self.n
@@ -546,7 +531,7 @@ class FactoredExpr:
             raise ExactError("not a monomial")
         return t[0], tuple(_unpack(t[1], self.ctx.nvars))
 
-    # -- evaluation and substitution ------------------------------------------
+    # -- evaluation -----------------------------------------------------------
 
     def evaluate(self, point) -> Fraction:
         """Exact value at a point assigning nonzero rationals to variables.
@@ -587,30 +572,6 @@ class FactoredExpr:
                     tn, td = tn * fd ** -e, td * fn ** -e
             num, den = num * td + tn * den, den * td
         return num, den
-
-    def scale_z(self, factor) -> "FactoredExpr":
-        """Substitute z -> factor*z for a z-free monomial `factor`."""
-        ctx = self.ctx
-        s = self._coerce(factor)._single()
-        if s is None or s[2]:
-            raise ExactError("scale_z needs a monomial factor")
-        fc, fm, _ = s
-        zi, nv = ctx._z_index, ctx.nvars
-        out = []
-        for c, m, fac in self.terms:
-            ez = _unpack(m, nv)[zi]
-            c, m = c * _qpow(fc, ez), m + ez * fm
-            new_fac = ()
-            for f, e in fac:
-                poly = {}
-                for k, qc in ctx._factor_polys[f].items():
-                    kz = _unpack(k, nv)[zi]
-                    poly[k + kz * fm] = qc * _qpow(fc, kz)
-                uc, um, uf = ctx._poly_term(poly)
-                c, m = c * _qpow(uc, e), m + e * um
-                new_fac = _merge(new_fac, tuple((g, k * e) for g, k in uf))
-            out.append((c, m, new_fac))
-        return FactoredExpr(ctx, tuple(out))
 
     # -- the canonical form ---------------------------------------------------
 

@@ -124,9 +124,10 @@ def psi_prefactor(ctx, p, i, twist) -> FactoredExpr:
         p.row_sum(i + 1) - 2 * p.row_sum(i) + p.row_sum(i - 1) - 1)
 
 
-def psi_value(ctx, w, p, i, lo, twist) -> FactoredExpr:
-    """Eigenvalue of the psi-series at node i, rational in z."""
-    low = ctx.z ** -1 * ctx.v ** i
+def psi_value(ctx, w, p, i, scale, lo, twist) -> FactoredExpr:
+    """Eigenvalue of the psi-series at node i at argument z*scale, rational
+    in z."""
+    low = (ctx.z * scale) ** -1 * ctx.v ** i
     high = low * ctx.v ** 2
     num = [high * w(p, i + 1, j) for j in range(lo + 1, i + 2)]
     num += [low * w(p, i - 1, j) for j in range(lo + 1, i)]
@@ -215,7 +216,7 @@ class FiniteAction:
         hit = self._psi_cache.get(key)
         if hit is None:
             hit = self._psi_cache[key] = psi_value(
-                self.ctx, self.s, p, i, 0, self.ctx.one)
+                self.ctx, self.s, p, i, self.ctx.one, 0, self.ctx.one)
         return hit
 
     def psi_mode(self, p: FinitePattern, i: int, m: int, sign: str) -> FactoredExpr:

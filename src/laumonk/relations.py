@@ -125,12 +125,13 @@ class RVec:
     """Exact rational values of an expression at the sample points.
 
     Parallel lists of unreduced integer numerators and denominators, one
-    pair per point.  Arithmetic with another RVec or with an int multiplies
-    and adds integers and never runs a gcd.  A denominator is never zero:
-    inverting a value that vanishes at some point raises ZeroDivisionError,
-    as Fraction does.  So a value is zero exactly when every numerator is,
-    and only `payload` reduces, for the emitted text.  The lists are never
-    mutated, so values share them.
+    pair per point.  Arithmetic with another RVec, with an int on the right
+    of + - *, or of an int divided by an RVec multiplies and adds integers
+    and never runs a gcd.  A denominator is never zero: inverting a value
+    that vanishes at some point raises ZeroDivisionError, as Fraction does.
+    So a value is zero exactly when every numerator is, and only `payload`
+    reduces, for the emitted text.  The lists are never mutated, so values
+    share them.
     """
 
     __slots__ = ("nums", "dens")
@@ -149,8 +150,6 @@ class RVec:
                         self.dens)
         return NotImplemented
 
-    __radd__ = __add__
-
     def __sub__(self, other):
         if isinstance(other, RVec):
             return RVec([a * d - b * c for a, c, b, d in
@@ -158,12 +157,6 @@ class RVec:
                         [c * d for c, d in zip(self.dens, other.dens)])
         if isinstance(other, int):
             return RVec([a - other * c for a, c in zip(self.nums, self.dens)],
-                        self.dens)
-        return NotImplemented
-
-    def __rsub__(self, other):
-        if isinstance(other, int):
-            return RVec([other * c - a for a, c in zip(self.nums, self.dens)],
                         self.dens)
         return NotImplemented
 
@@ -175,8 +168,6 @@ class RVec:
             return RVec([a * other for a in self.nums], self.dens)
         return NotImplemented
 
-    __rmul__ = __mul__
-
     def _nonvanishing(self):
         if not all(self.nums):
             raise ZeroDivisionError("RVec division by a value vanishing at "
@@ -187,10 +178,6 @@ class RVec:
             other._nonvanishing()
             return RVec([a * d for a, d in zip(self.nums, other.dens)],
                         [c * b for c, b in zip(self.dens, other.nums)])
-        if isinstance(other, int):
-            if not other:
-                raise ZeroDivisionError("RVec division by zero")
-            return RVec(self.nums, [c * other for c in self.dens])
         return NotImplemented
 
     def __rtruediv__(self, other):
@@ -221,18 +208,10 @@ class _SymbolicEval:
     strategy = SYMBOLIC
 
     def __init__(self, ctx):
-        self.ctx = ctx
-        self.zero = ctx.zero
+        self.zero, self.v, self.z = ctx.zero, ctx.v, ctx.z
 
     def lift(self, expr: FactoredExpr):
         return expr
-
-    def var(self, name: str):
-        if name == "v":
-            return self.ctx.v
-        if name == "z":
-            return self.ctx.z
-        raise ValueError(name)
 
     @staticmethod
     def payload(residual):
@@ -258,6 +237,9 @@ class _RandomEval:
         self._at = [EvalPoint(ctx, pt) for pt in self.points]
         self._lifted = {}
         self.zero = RVec([0] * trials, [1] * trials)
+        self.v, self.z = (RVec([pt[name].numerator for pt in self.points],
+                               [pt[name].denominator for pt in self.points])
+                          for name in ("v", "z"))
 
     def _sample_point(self):
         # nonzero rationals with numerator/denominator at most 97, pairwise
@@ -288,10 +270,6 @@ class _RandomEval:
                 dens.append(den)
             hit = self._lifted[expr.terms] = RVec(nums, dens)
         return hit
-
-    def var(self, name: str):
-        return RVec([pt[name].numerator for pt in self.points],
-                    [pt[name].denominator for pt in self.points])
 
     @staticmethod
     def payload(residual):
@@ -381,13 +359,13 @@ def _scope(action, strategy, seed, trials, **extra):
 class _PathTable:
     """Compositions of two or three mode families applied right-to-left.
 
-    Each entry keeps the product of base coefficients and the spectral
-    parameters of the legs, so any mode assignment is a monomial sweep.
-    With keep_symbolic the un-lifted spectral monomials are retained as
-    character keys (used by the Serre group decomposition).
+    Each row is (target, product of base coefficients, lifted spectral
+    parameters of the legs, symbolic spectral parameters), so any mode
+    assignment is a monomial sweep; the symbolic ones are the character
+    keys of the Serre group decomposition.
     """
 
-    def __init__(self, action, ev, legs, src, keep_symbolic: bool = False):
+    def __init__(self, action, ev, legs, src):
         # legs are (kind, node, beta_shift) applied right to left
         rows = [(src, None, (), ())]
         for kind, node, shift in legs:
@@ -404,11 +382,10 @@ class _PathTable:
                         tr.target,
                         b if base is None else base * b,
                         betas + (beta,),
-                        sbetas + (sbeta,) if keep_symbolic else (),
+                        sbetas + (sbeta,),
                     ))
             rows = out
-        self.rows = [(t, b, bs) for t, b, bs, _ in rows]
-        self.sym_rows = [(t, b, ss) for t, b, _, ss in rows]
+        self.rows = rows
         self._pow_cache = {}
 
     def _beta_pow(self, row_idx, leg, m):
@@ -421,7 +398,7 @@ class _PathTable:
 
     def accumulate(self, acc, modes, coeff, zero):
         """acc[target] += coeff * base * prod beta_i^{modes[i]}"""
-        for idx, (tgt, base, betas) in enumerate(self.rows):
+        for idx, (tgt, base, _, _) in enumerate(self.rows):
             term = base
             for leg, m in enumerate(modes):
                 if m:
@@ -452,9 +429,9 @@ def _twisted(acc, t_lk, t_kl, a, b, c, zero):
 
 def _serre_tables(action, ev, kind, i, j, src):
     """Path tables of X_i X_i X_j, X_i X_j X_i and X_j X_i X_i, legs listed
-    right-to-left, with symbolic betas kept as character keys."""
+    right-to-left."""
     return tuple(_PathTable(action, ev, [(kind, node, None) for node in legs],
-                            src, keep_symbolic=True)
+                            src)
                  for legs in ((j, i, i), (i, j, i), (i, i, j)))
 
 
@@ -523,7 +500,7 @@ def _xx(action, rel, kind, k, l, cexp, sh_k, sh_l, window, max_degree,
     sources = _sources(action, max_degree)
 
     def body(ev, check):
-        c = None if cexp is None else ev.var("v") ** cexp
+        c = None if cexp is None else ev.v ** cexp
         for src in sources:
             t_lk = _PathTable(action, ev, [(kind, l, sh_l), (kind, k, sh_k)],
                               src)
@@ -550,7 +527,7 @@ def verify_commutator(action, k: int, l: int, window: int = 2,
     sources = _sources(action, max_degree)
 
     def body(ev, check):
-        v = ev.var("v")
+        v = ev.v
         divisor = (v - 1 / v) if mutate == "textbook_divisor" else (v * v - 1)
         for src in sources:
             t_ef = _PathTable(action, ev, [("f", l, None), ("e", k, None)],
@@ -596,9 +573,9 @@ def verify_psi_x(action, k: int, l: int, kind: str, max_degree: int = 3,
     a_kl = -1 if boundary else _cartan(action, k, l)
 
     def body(ev, check):
-        z = ev.var("z")
+        z = ev.z
         cexp = a_kl if kind == "e" else -a_kl
-        c = ev.var("v") ** cexp
+        c = ev.v ** cexp
         shifted = mutate != "unshifted"
         for src in sources:
             if boundary == "psi_hat" and shifted:
@@ -660,7 +637,7 @@ def verify_serre(action, kind: str, i: int, j: int, window: int = 2,
     sources = _sources(action, max_degree)
 
     def body(ev, check):
-        v = ev.var("v")
+        v = ev.v
         coeff = ev.zero + 2 if mutate == "flattened" else v + 1 / v
         for src in sources:
             tables = _serre_tables(action, ev, kind, i, j, src)
@@ -673,9 +650,7 @@ def verify_serre(action, kind: str, i: int, j: int, window: int = 2,
             for table, pos, weight in zip(tables, ((2, 1, 0), (2, 0, 1),
                                                    (1, 0, 2)),
                                           (None, -coeff, None)):
-                for row, srow in zip(table.rows, table.sym_rows):
-                    tgt, base = row[0], row[1]
-                    sbetas = srow[2]
+                for tgt, base, _, sbetas in table.rows:
                     chi = (sbetas[pos[0]], sbetas[pos[1]], sbetas[pos[2]])
                     term = base if weight is None else base * weight
                     for key in (
@@ -745,7 +720,7 @@ def verify_gl_zero_modes(action, max_degree: int = 3,
 
     # t x t^{-1} twists: t_i X_j t_i^{-1} = X_j v^{+-(delta_{ij}-delta_{i,j+1})}
     def twist_body(ev, check):
-        v = ev.var("v")
+        v = ev.v
         for src in sources:
             for jn in range(1, n):
                 for kind, sgn in (("e", 1), ("f", -1)):
@@ -764,7 +739,7 @@ def verify_gl_zero_modes(action, max_degree: int = 3,
 
     # [e_i, f_j] = delta_ij (k_i - k_i^{-1}) / (v^2-1), k_i = t_i t_{i+1}^{-1}
     def comm_body(ev, check):
-        v = ev.var("v")
+        v = ev.v
         for src in sources:
             for ki in range(1, n):
                 for li in range(1, n):
@@ -798,7 +773,7 @@ def verify_gl_zero_modes(action, max_degree: int = 3,
     run_family("gl_distant", (), distant_body)
 
     def serre_body(ev, check):
-        v = ev.var("v")
+        v = ev.v
         coeff = v + 1 / v
         for src in sources:
             for kind in ("e", "f"):

@@ -118,23 +118,17 @@ class SpecializationMap:
         mut = ExtendedWeight(w)
         self.t_exponents = tuple(mut(j) - j + 1 for j in range(1, w.n + 1))
         self.u_exponent = -w.K - w.n if u_exponent is None else u_exponent
+        # v-exponents of t_1..t_n, u and v; z has none
+        self._weights = self.t_exponents + (self.u_exponent, 1)
         self.ctx = LaurentContext(w.n)
 
     def exponent(self, exps) -> int:
         """v-exponent of the specialized monomial with exponent vector exps."""
+        if exps[-1]:
+            raise SpecializationError("expression involves z")
         out = 0
-        for var_index, power in enumerate(exps):
-            if not power:
-                continue
-            name = self.ctx.var_names[var_index]
-            if name.startswith("t"):
-                out += power * self.t_exponents[int(name[1:]) - 1]
-            elif name == "u":
-                out += power * self.u_exponent
-            elif name == "v":
-                out += power
-            else:
-                raise SpecializationError("expression involves %s" % name)
+        for power, weight in zip(exps, self._weights):
+            out += power * weight
         return out
 
     def monomial_exponent(self, mono: FactoredExpr) -> int:
@@ -147,7 +141,7 @@ class SpecializationMap:
             raise SpecializationError("not a unit-coefficient monomial")
         return self.exponent(exps)
 
-    def _specialize_poly_terms(self, terms):
+    def _specialize_terms(self, terms):
         v = self.ctx.v
         return sum((self.ctx.rational(coeff) * v ** self.exponent(exps)
                     for exps, coeff in terms), self.ctx.zero)
@@ -158,8 +152,8 @@ def specialize(x: FactoredExpr, w: LevelWeight,
     """Exact substitution on the reduced numerator/denominator pair."""
     smap = SpecializationMap(w, u_exponent)
     x = x.reduce()
-    num = smap._specialize_poly_terms(x.numerator_terms())
-    den = smap._specialize_poly_terms(x.denominator_terms())
+    num = smap._specialize_terms(x.numerator_terms())
+    den = smap._specialize_terms(x.denominator_terms())
     if den.is_zero:
         raise SpecializationError("denominator specializes to zero")
     return num / den

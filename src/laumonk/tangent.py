@@ -116,15 +116,18 @@ class TangentOracle:
         length = p.max_length()
         for k in range(1, n + 1):
             lo = k - length - 1
-            # l <= k and l' <= k-1, both rows charged
-            for l in range(lo, k + 1):
-                b = p.d(k, l)
-                if b == 0:
-                    continue
-                for lp in range(lo, k):
-                    a = p.d(k - 1, lp)
-                    if a:
-                        self._add_geom_pair(acc, self._mono(l, lp, 0), a, b, 1)
+            # l <= k against l' <= k-1 on row k-1, and against l' <= k on
+            # row k subtracted
+            for row, sign in ((k - 1, 1), (k, -1)):
+                for l in range(lo, k + 1):
+                    b = p.d(k, l)
+                    if b == 0:
+                        continue
+                    for lp in range(lo, row + 1):
+                        a = p.d(row, lp)
+                        if a:
+                            self._add_geom_pair(acc, self._mono(l, lp, 0),
+                                                a, b, sign)
             # l' <= k-1 alone: v^2 (v^{2a}-1)/(v^2-1)
             for lp in range(lo, k):
                 a = p.d(k - 1, lp)
@@ -133,15 +136,6 @@ class TangentOracle:
                 base = self._mono(k, lp, 0)
                 for s in range(a):
                     acc[base * v ** (2 * s + 2)] += 1
-            # l <= k and l' <= k, subtracted
-            for l in range(lo, k + 1):
-                b = p.d(k, l)
-                if b == 0:
-                    continue
-                for lp in range(lo, k + 1):
-                    a = p.d(k, lp)
-                    if a:
-                        self._add_geom_pair(acc, self._mono(l, lp, 0), a, b, -1)
             # l <= k alone, subtracted; v^2 (v^{-2b}-1)/(v^2-1) is itself
             # -sum_{s=0}^{b-1} v^{-2s}, so the net sign is positive
             for l in range(lo, k + 1):

@@ -93,12 +93,19 @@ class ToroidalAction:
         if hit is None:
             lo = self._cut(p, (i - 1, i, i + 1), i - 1, cutoff)
             hit = self._psi_cache[key] = psi_value(
-                self.ctx, self.p, p, i, lo, self.ctx.u ** 2)
+                self.ctx, self.p, p, i, self.ctx.one, lo, self.ctx.u ** 2)
         return hit
 
     def psi_hat_eigenvalue(self, p: AffinePattern) -> FactoredExpr:
-        """Node-0 series: psi_n evaluated at z v^n u^2."""
-        return self.psi_eigenvalue(p, self.n).scale_z(self.hat_scale)
+        """Node-0 series: psi_n evaluated at z v^n u^2, cached as node 0."""
+        key = (p, 0, None)
+        hit = self._psi_cache.get(key)
+        if hit is None:
+            n = self.n
+            lo = self._cut(p, (n - 1, n, n + 1), n - 1)
+            hit = self._psi_cache[key] = psi_value(
+                self.ctx, self.p, p, n, self.hat_scale, lo, self.ctx.u ** 2)
+        return hit
 
     def psi_mode(self, p: AffinePattern, i: int, m: int, sign: str) -> FactoredExpr:
         return psi_series_mode(self, p, i, m, sign)

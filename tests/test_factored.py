@@ -170,20 +170,6 @@ def test_evaluate_pair_raises_on_a_vanishing_denominator_factor():
 
 
 @SETTINGS
-@given(pairs, exponents, points)
-def test_scale_z_is_substitution(pair, exps, point):
-    f, _ = pair
-    scale, _ = _monomial(1, exps)
-    shifted = dict(point, z=point["z"] * scale.evaluate(point))
-    try:
-        want = f.evaluate(shifted)
-        got = f.scale_z(scale).evaluate(point)
-    except EvaluationError:
-        assume(False)
-    assert got == want
-
-
-@SETTINGS
 @given(pairs, st.sampled_from([AT_INFINITY, AT_ZERO]), st.integers(0, 3))
 def test_series_coefficient_matches_expand_series(pair, direction, r):
     f, ref = pair
