@@ -38,6 +38,15 @@ def _write_report(path, payload) -> str:
     return text
 
 
+def _at_least(low):
+    """Option type: an integer that is at least `low`."""
+    def check(text):
+        if int(text) < low:
+            raise argparse.ArgumentTypeError("must be at least %d" % low)
+        return int(text)
+    return check
+
+
 def _parse_int_list(text):
     return tuple(int(x) for x in text.split(",")) if text else ()
 
@@ -248,7 +257,7 @@ def _read_config(path, sub) -> dict:
             if ok and action.type is not None:
                 try:
                     conf[key] = action.type(str(value))
-                except ValueError:
+                except (ValueError, argparse.ArgumentTypeError):
                     ok = False
             ok = ok and (action.choices is None
                          or conf[key] in action.choices)
@@ -280,12 +289,12 @@ def build_parser():
     ver = sub.add_parser("verify", help="run a verification suite")
     ver.add_argument("--suite", required=True, choices=list(SUITES))
     ver.add_argument("-n", type=int, default=3)
-    ver.add_argument("-D", "--max-degree", type=int, default=None)
-    ver.add_argument("-R", "--window", type=int, default=2)
+    ver.add_argument("-D", "--max-degree", type=_at_least(0), default=None)
+    ver.add_argument("-R", "--window", type=_at_least(0), default=2)
     ver.add_argument("--strategy", choices=["symbolic", "random"],
                      default="symbolic")
     ver.add_argument("--seed", type=int, default=0)
-    ver.add_argument("--trials", type=int, default=5)
+    ver.add_argument("--trials", type=_at_least(1), default=5)
     ver.add_argument("--workers", type=int, default=None,
                      help="accepted; has no effect yet")
     ver.add_argument("--config", default=None)
@@ -296,7 +305,7 @@ def build_parser():
     spec.add_argument("-n", type=int, default=3)
     spec.add_argument("-K", "--level", type=int, required=True)
     spec.add_argument("--mu", required=True)
-    spec.add_argument("--max-degree", type=int, default=2)
+    spec.add_argument("--max-degree", type=_at_least(0), default=2)
     spec.add_argument("--wrong-u", action="store_true",
                       help="negative control: off-by-one u exponent")
     spec.add_argument("--config", default=None)

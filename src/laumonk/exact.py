@@ -18,14 +18,16 @@ with the variables ordered (t_1..t_n, u, v, z).  Values come in two types:
   `evaluate` works at exact rational points from per-point caches;
   `evaluate_pair` gives the same value as an unreduced integer
   numerator/denominator pair, with no gcd.
-* `LaurentExpr`, the canonical form: a reduced numerator/denominator pair
-  of sympy sparse polynomials under graded-lexicographic order, denominator
-  sign-normalized, so equality of values is equality of representations.
-  It is the emitted text form: `FactoredExpr.reduce()` produces it where
-  reduced text is emitted, and its `to_string` is the serialization.  Its
-  field operations and `expand_series` serve the tests as an independent
-  reference.  Its reductions go through `_cancel`, which falls back to the
-  modular gcd where sympy's heuristic gcd gives up.
+  `canonical` is the reduced form, unique per value: a coprime, jointly
+  primitive integer pair under graded-lexicographic order with a positive
+  leading denominator coefficient.  Pure Python computes it (the heuristic
+  gcd GCDHEU of Char, Geddes and Gonnet, one pair of factors at a time),
+  and it is the emitted text form (`to_string`) and the hash.
+* `LaurentExpr`, the same form as a sympy field element: the independent
+  reference of the tests, loaded with sympy on first use.
+  `FactoredExpr.reduce()` produces it; its field operations and
+  `expand_series` reduce through `_cancel`, which falls back to the modular
+  gcd where sympy's heuristic gcd gives up.
 
 Psi modes come from `series_coefficient`, which expands a `FactoredExpr`
 factor by factor with no gcd.
@@ -36,15 +38,10 @@ Laurent monomials with negative exponents are ordinary field elements
 
 from __future__ import annotations
 
+import heapq
 import threading
 from fractions import Fraction
-from math import gcd, lcm
-
-from sympy.polys import modulargcd as _modgcd
-from sympy.polys.domains import QQ, ZZ
-from sympy.polys.fields import field as _sympy_field
-from sympy.polys.orderings import grlex
-from sympy.polys.polyerrors import HeuristicGCDFailed
+from math import gcd, isqrt, lcm
 
 
 class ExactError(Exception):
@@ -78,12 +75,14 @@ _MAX_POWER_EXP = 1 << 20  # bound on exponents made by ** (headroom for products
 
 
 def _to_ground(x):
+    from sympy.polys.domains import QQ
     if isinstance(x, (int, Fraction)):
         return QQ(int(getattr(x, "numerator", x)), int(getattr(x, "denominator", 1)))
     raise ExactError("coefficients must be int or Fraction, got %r" % (x,))
 
 
 def _ground_to_fraction(x):
+    from sympy.polys.domains import QQ
     return Fraction(int(QQ.numer(x)), int(QQ.denom(x)))
 
 
@@ -130,6 +129,7 @@ def _cancel(num, den):
     (HeuristicGCDFailed on rare inputs) the same steps run with the
     deterministic modular gcd.
     """
+    from sympy.polys.polyerrors import HeuristicGCDFailed
     try:
         return num.cancel(den)
     except HeuristicGCDFailed:
@@ -138,6 +138,8 @@ def _cancel(num, den):
 
 def _cancel_modular(f, g):
     """`PolyElement.cancel` over QQ with the modular gcd for the cofactors."""
+    from sympy.polys import modulargcd as _modgcd
+    from sympy.polys.domains import ZZ
     ring = f.ring
     if not f:
         return f, ring.one
@@ -164,10 +166,12 @@ def _cancel_modular(f, g):
 class LaurentContext:
     """Field Q(t_1..t_n, u, v, z) for a fixed rank n, plus factories.
 
-    The generators t, u, v, z and the constants are `FactoredExpr` values.
-    The context also owns the table of normalized factors (interned by
-    syntax) and their cached powers; these grow with the distinct factors a
-    computation meets and live as long as the context.
+    The generators t, u, v, z and the constants are `FactoredExpr` values;
+    `field` and `ring` are the sympy field of the `LaurentExpr` reference
+    and its polynomial ring, built on first access.  The context also owns
+    the table of normalized factors (interned by syntax) and their cached
+    powers; these grow with the distinct factors a computation meets and
+    live as long as the context.
     """
 
     _cache: dict = {}
@@ -182,8 +186,7 @@ class LaurentContext:
         self.n = n
         self.var_names = tuple(names)
         self.nvars = len(names)
-        self.field, *gens = _sympy_field(" ".join(names), QQ, grlex)
-        self.ring = self.field.ring
+        self._field = None
         self._z_index = n + 2
         self._factor_lock = threading.Lock()
         self._factor_ids = {}
@@ -197,6 +200,19 @@ class LaurentContext:
         self.one = FactoredExpr(self, ((1, 0, ()),))
         cls._cache[n] = self
         return self
+
+    @property
+    def field(self):
+        if self._field is None:
+            from sympy.polys.domains import QQ
+            from sympy.polys.fields import field
+            from sympy.polys.orderings import grlex
+            self._field = field(" ".join(self.var_names), QQ, grlex)[0]
+        return self._field
+
+    @property
+    def ring(self):
+        return self.field.ring
 
     def rational(self, q) -> "FactoredExpr":
         q = _q(Fraction(q))
@@ -235,16 +251,6 @@ class LaurentContext:
                                 self._factor_polys[fid]))
             self._factor_pows[(fid, e)] = hit
         return hit
-
-    def _factor_ring(self, fid: int):
-        """(shift, P) with factor = x^shift * P and P a sympy polynomial."""
-        poly = self._factor_polys[fid]
-        exps = {k: _unpack(k, self.nvars) for k in poly}
-        shift = [min(col) for col in zip(*exps.values())]
-        P = self.ring.from_dict({
-            tuple(x - s for x, s in zip(ex, shift)): QQ(poly[k])
-            for k, ex in exps.items()})
-        return shift, P
 
     def __repr__(self):
         return "LaurentContext(n=%d)" % self.n
@@ -372,11 +378,11 @@ class FactoredExpr:
     Each term is (coefficient, packed Laurent monomial, factors) with the
     factors a sorted tuple of (factor id, nonzero exponent).  Immutable.
     Values are not reduced; `==` and `is_zero` are exact zero tests, and
-    `hash` agrees with `==` (it hashes the reduced form unless the value is
-    a monomial).
+    `hash` agrees with `==` (it hashes the canonical form unless the value
+    is a monomial).
     """
 
-    __slots__ = ("ctx", "terms", "_term", "_reduced")
+    __slots__ = ("ctx", "terms", "_term", "_canon")
 
     def __init__(self, ctx: LaurentContext, terms):
         self.ctx = ctx
@@ -385,7 +391,7 @@ class FactoredExpr:
             self._term = _UNSET
         else:
             self._term = terms[0] if terms else None
-        self._reduced = None
+        self._canon = None
 
     def _single(self):
         """This value as one term, or None if it is zero (cached)."""
@@ -522,7 +528,7 @@ class FactoredExpr:
             return hash(0)
         if not t[2]:
             return hash((t[0], t[1]))
-        return hash(self.reduce())
+        return _hash_terms(*self.canonical())
 
     def as_monomial(self):
         """(coefficient, exponent tuple) of a monomial value."""
@@ -575,15 +581,27 @@ class FactoredExpr:
 
     # -- the canonical form ---------------------------------------------------
 
-    def reduce(self) -> "LaurentExpr":
-        """The reduced canonical form (one gcd, cached)."""
-        r = self._reduced
+    def canonical(self):
+        """The reduced form as (numerator, denominator) terms (cached).
+
+        Each is a grlex-descending tuple of (exponent tuple, int) over
+        nonnegative exponents; the pair is coprime and jointly primitive,
+        and the denominator's leading coefficient is positive, which makes
+        it unique.  The zero value is ((), (((0, .., 0), 1),)).
+        """
+        r = self._canon
         if r is None:
-            r = self._reduced = _reduce_term(self.ctx, self._single())
+            r = self._canon = _canonical(self.ctx, self._single())
         return r
 
+    def reduce(self) -> "LaurentExpr":
+        """The canonical form as a sympy field element (the test reference)."""
+        ring = self.ctx.ring
+        return LaurentExpr(self.ctx, self.ctx.field.raw_new(
+            *(ring.from_dict(dict(p)) for p in self.canonical())))
+
     def to_string(self) -> str:
-        return self.reduce().to_string()
+        return _terms_to_string(self.ctx, *self.canonical())
 
     __str__ = to_string
 
@@ -591,24 +609,206 @@ class FactoredExpr:
         return "FactoredExpr(%s)" % self.to_string()
 
 
-def _reduce_term(ctx, term) -> "LaurentExpr":
-    ring = ctx.ring
+# -- the reduced canonical form ---------------------------------------------
+#
+# Integer polynomials are {packed monomial: int} with every exponent >= 0,
+# so the base-2^32 digits of a key are plain: variable 0 is key & _MASK and
+# the other variables are key >> _BITS.
+
+def _canonical(ctx, term):
+    """(num, den) of `FactoredExpr.canonical` for one term, or for zero.
+
+    The factors, shifted to polynomials, are cancelled one numerator piece
+    against one denominator piece at a time until every such pair is
+    coprime; then both products are multiplied out and divided by their
+    joint integer content.
+    """
+    nvars = ctx.nvars
     if term is None:
-        return LaurentExpr(ctx, ctx.field.zero)
-    c, m, fac = term
-    shift = _unpack(m, ctx.nvars)
-    num = den = ring.one
+        return (), (((0,) * nvars, 1),)
+    c, shift, fac = term
+    num, den = [], []
     for f, e in fac:
-        fshift, P = ctx._factor_ring(f)
-        shift = [s + e * x for s, x in zip(shift, fshift)]
-        if e > 0:
-            num = num * P ** e
-        else:
-            den = den * P ** -e
+        poly = ctx._factor_polys[f]
+        low = _pack(map(min, zip(*(_unpack(k, nvars) for k in poly))))
+        shift += e * low
+        piece = [{k - low: v for k, v in poly.items()}, abs(e)]
+        (num if e > 0 else den).append(piece)
+    # a common factor h of pieces a^i, b^j leaves (a/h)^i, (b/h)^j and
+    # h^(i-j) on the side of the larger exponent; new pieces are appended
+    # and so meet every piece of the other side later in the loops
+    for a in num:
+        for b in den:
+            h, a[0], b[0] = _cofactors(ctx, a[0], b[0])
+            if max(h) and a[1] != b[1]:
+                (num if a[1] > b[1] else den).append([h, abs(a[1] - b[1])])
     c = Fraction(c)
-    num = num.mul_monom(tuple(max(s, 0) for s in shift)).mul_ground(QQ(c.numerator))
-    den = den.mul_monom(tuple(max(-s, 0) for s in shift)).mul_ground(QQ(c.denominator))
-    return LaurentExpr(ctx, ctx._frac(num, den))
+    shift = _unpack(shift, nvars)
+    top = _expand(num, c.numerator, _pack(max(x, 0) for x in shift))
+    bottom = _expand(den, c.denominator, _pack(max(-x, 0) for x in shift))
+    content = gcd(*top.values(), *bottom.values())
+    top, bottom = (sorted(((tuple(_unpack(k, nvars)), v)
+                           for k, v in poly.items()),
+                          key=lambda t: (sum(t[0]), t[0]), reverse=True)
+                   for poly in (top, bottom))
+    if bottom[0][1] < 0:
+        content = -content
+    return tuple(tuple((e, v // content) for e, v in poly)
+                 for poly in (top, bottom))
+
+
+def _expand(pieces, coeff, mono):
+    """coeff * x^mono * prod(poly^e for poly, e in pieces)."""
+    out = {mono: coeff}
+    for poly, e in pieces:
+        for _ in range(e):
+            out = _pclean(_pmul(out, poly))
+    return out
+
+
+def _cofactors(ctx, f, g):
+    """(h, f / h, g / h), h = gcd(f, g): GCDHEU, else sympy's modular gcd."""
+    out = _heugcd(f, g)
+    if out is None:
+        from sympy.polys import modulargcd
+        from sympy.polys.domains import ZZ
+        zz = ctx.ring.clone(domain=ZZ)
+        out = modulargcd.modgcd_multivariate(*(
+            zz.from_dict({tuple(_unpack(k, ctx.nvars)): v
+                          for k, v in p.items()}) for p in (f, g)))
+        out = tuple({_pack(e): int(v) for e, v in p.items()} for p in out)
+    return out
+
+
+def _heugcd(f, g):
+    """(h, f / h, g / h) with h = gcd(f, g) for nonzero f, g, or None.
+
+    GCDHEU as sympy's `heugcd` runs it: evaluate variable 0 at an integer
+    x, take the gcd of the images (recursively, down to integers), read h
+    back from its x-adic digits and accept it only if it divides both
+    inputs; else try either cofactor, then a larger x.  None after six x.
+    """
+    if not max(f) or not max(g):
+        h = gcd(*f.values(), *g.values())
+        return {0: h}, _quo_ground(f, h), _quo_ground(g, h)
+    if not any(k & _MASK for k in f) and not any(k & _MASK for k in g):
+        out = _heugcd(*({k >> _BITS: v for k, v in p.items()} for p in (f, g)))
+        return out and tuple({k << _BITS: v for k, v in p.items()}
+                             for p in out)
+    content = gcd(*f.values(), *g.values())
+    f, g = _quo_ground(f, content), _quo_ground(g, content)
+    f_norm, g_norm = (max(map(abs, p.values())) for p in (f, g))
+    bound = 2 * min(f_norm, g_norm) + 29
+    x = max(min(bound, 99 * isqrt(bound)),
+            2 * min(f_norm // abs(f[max(f)]), g_norm // abs(g[max(g)])) + 4)
+    for _ in range(6):  # evaluation points, as in sympy
+        ff, gg = _eval_low(f, x), _eval_low(g, x)
+        if ff and gg:
+            images = _heugcd(ff, gg)
+            if images is None:
+                return None
+            for h in _candidates(f, g, images, x):
+                cff = None if h is None else _exact_quo(f, h)
+                cfg = None if cff is None else _exact_quo(g, h)
+                if cfg is not None:
+                    return {k: v * content for k, v in h.items()}, cff, cfg
+        x = 73794 * x * isqrt(isqrt(x)) // 27011
+    return None
+
+
+def _candidates(f, g, images, x):
+    """GCDHEU's candidate gcds from the images (h, cff, cfg) at x."""
+    h, cff, cfg = images
+    h = _interpolate(h, x)
+    yield _quo_ground(h, gcd(*h.values()))
+    yield _exact_quo(f, _interpolate(cff, x))
+    yield _exact_quo(g, _interpolate(cfg, x))
+
+
+def _quo_ground(f, c):
+    return f if c == 1 else {k: v // c for k, v in f.items()}
+
+
+def _eval_low(f, x):
+    """f at variable 0 = x, as a polynomial in the other variables."""
+    out, pows = {}, {}
+    for k, c in f.items():
+        e = k & _MASK
+        p = pows.get(e)
+        if p is None:
+            p = pows[e] = x ** e
+        rest = k >> _BITS
+        out[rest] = out.get(rest, 0) + c * p
+    return _pclean(out)
+
+
+def _interpolate(h, x):
+    """h's coefficients read as symmetric x-adic digits in variable 0."""
+    out, i, half = {}, 0, x // 2
+    while h:
+        rest = {}
+        for k, c in h.items():
+            d = c % x
+            if d > half:
+                d -= x
+            if d:
+                out[(k << _BITS) | i] = d
+            if c != d:
+                rest[k] = (c - d) // x
+        h, i = rest, i + 1
+    if out[max(out)] < 0:
+        out = {k: -v for k, v in out.items()}
+    return out
+
+
+def _exact_quo(f, h):
+    """f / h if h divides f (both integer polynomials), else None, by
+    division by leading terms in the lex order of the packed keys."""
+    lead = max(h)
+    lc = h[lead]
+    tail = [(k - lead, v) for k, v in h.items() if k != lead]
+    # top bit of each digit: set in a key difference that borrowed
+    digits = max(max(f), lead).bit_length() // _BITS + 1
+    guard = _HALF * (((1 << (_BITS * digits)) - 1) // _MASK)
+    rem = dict(f)
+    heap = [-k for k in rem]
+    heapq.heapify(heap)
+    quo = {}
+    while heap:
+        k = -heapq.heappop(heap)
+        c = rem.pop(k, 0)
+        if not c:
+            continue
+        d = k - lead
+        if d < 0 or d & guard or c % lc:
+            return None
+        q = quo[d] = c // lc
+        for e, v in tail:
+            key = k + e
+            if key in rem:
+                rem[key] -= q * v
+            else:
+                rem[key] = -q * v
+                heapq.heappush(heap, -key)
+    return quo
+
+
+def _terms_to_string(ctx, num, den) -> str:
+    text = _poly_to_string(ctx, num)
+    if len(den) == 1 and not any(den[0][0]) and den[0][1] == 1:
+        return text
+    return "(%s) / (%s)" % (text, _poly_to_string(ctx, den))
+
+
+def _hash_terms(num, den) -> int:
+    """Hash of a canonical pair; a monomial hashes as (coeff, packed m)."""
+    if not num:
+        return hash(0)
+    if len(num) == 1 and len(den) == 1:
+        (ne, nc), = num
+        (de, dc), = den
+        return hash((_q(Fraction(nc, dc)), _pack([a - b for a, b in zip(ne, de)])))
+    return hash((tuple(num), tuple(den)))
 
 
 class EvalPoint:
@@ -776,16 +976,8 @@ class LaurentExpr:
         return r if r is NotImplemented else not r
 
     def __hash__(self):
-        # monomials hash like their FactoredExpr forms
-        raw = self.raw
-        if not raw:
-            return hash(0)
-        if raw.numer.is_term and raw.denom.is_term:
-            (ne, nc), = raw.numer.terms()
-            (de, dc), = raw.denom.terms()
-            coeff = _q(_ground_to_fraction(nc) / _ground_to_fraction(dc))
-            return hash((coeff, _pack(a - b for a, b in zip(ne, de))))
-        return hash((id(self.ctx), raw))
+        # the key of FactoredExpr.__hash__, so equal values hash alike
+        return _hash_terms(self.numerator_terms(), self.denominator_terms())
 
     def __bool__(self):
         return bool(self.raw)
@@ -833,7 +1025,7 @@ class LaurentExpr:
             elif used[i]:
                 raise EvaluationError("variable %s occurs but is not assigned" % name)
             else:
-                vals.append(QQ(1))
+                vals.append(_to_ground(1))
         pairs = list(zip(ctx.ring.gens, vals))
         num = self.raw.numer.evaluate(pairs)
         den = self.raw.denom.evaluate(pairs)
@@ -863,10 +1055,8 @@ class LaurentExpr:
 
     def to_string(self) -> str:
         """Canonical text form: sorted monomials, explicit exponents."""
-        num = _poly_to_string(self.ctx, self.raw.numer)
-        if self.raw.denom == self.ctx.ring.one:
-            return num
-        return "(%s) / (%s)" % (num, _poly_to_string(self.ctx, self.raw.denom))
+        return _terms_to_string(self.ctx, self.numerator_terms(),
+                                self.denominator_terms())
 
     __str__ = to_string
 
@@ -874,12 +1064,12 @@ class LaurentExpr:
         return "LaurentExpr(%s)" % self.to_string()
 
 
-def _poly_to_string(ctx, poly) -> str:
-    if not poly:
+def _poly_to_string(ctx, terms) -> str:
+    """Text of grlex-descending (exponent tuple, rational) terms."""
+    if not terms:
         return "0"
     parts = []
-    for exps, coeff in poly.terms():
-        c = _ground_to_fraction(coeff)
+    for exps, c in terms:
         factors = []
         for name, e in zip(ctx.var_names, exps):
             if e:

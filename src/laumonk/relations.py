@@ -290,6 +290,8 @@ def _make_eval(action, strategy, rel, scope, seed, trials):
         return _SymbolicEval(action.ctx)
     if strategy != RANDOM:
         raise ValueError("unknown strategy %r" % strategy)
+    if trials < 1:
+        raise ValueError("the random strategy needs at least one trial")
     rng = random.Random(_relation_seed(seed, rel, scope))
     return _RandomEval(action.ctx, rng, trials)
 

@@ -151,9 +151,7 @@ def specialize(x: FactoredExpr, w: LevelWeight,
                u_exponent: int = None) -> FactoredExpr:
     """Exact substitution on the reduced numerator/denominator pair."""
     smap = SpecializationMap(w, u_exponent)
-    x = x.reduce()
-    num = smap._specialize_terms(x.numerator_terms())
-    den = smap._specialize_terms(x.denominator_terms())
+    num, den = map(smap._specialize_terms, x.canonical())
     if den.is_zero:
         raise SpecializationError("denominator specializes to zero")
     return num / den

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -40,6 +44,13 @@ def test_verify_exit_codes(tmp_path):
                     "--out", str(out)]) == 0
     data = json.loads(out.read_text())
     assert all(r["status"] == "fail" for r in data["reports"])
+    # a scope that checks nothing is rejected, not passed
+    for bad in (["--strategy", "random", "--trials", "0"], ["-D", "-1"],
+                ["-R", "-1"]):
+        with pytest.raises(SystemExit) as err:
+            run_cli(["verify", "--suite", "loop", "-n", "3", "-D", "1"]
+                    + bad + ["--out", str(out)])
+        assert err.value.code == 2, bad
 
 
 def test_oracle_suite_cli(tmp_path):
@@ -118,6 +129,11 @@ def test_specialize_cli(tmp_path):
     assert data["closure"] is True
     assert run_cli(["specialize", "-n", "3", "-K", "1", "--mu", "1,0,0",
                     "--max-degree", "1", "--out", str(out)]) == 0
+    # a negative degree bound would close over no block
+    with pytest.raises(SystemExit) as err:
+        run_cli(["specialize", "-n", "3", "-K", "1", "--mu", "0,0,0",
+                 "--max-degree", "-1", "--out", str(out)])
+    assert err.value.code == 2
     # K = 0 rejected
     assert run_cli(["specialize", "-n", "3", "-K", "0", "--mu", "0,0,0"]) == 2
     # non-dominant mu rejected
@@ -187,8 +203,52 @@ def test_config_file_defaults_and_flag_override(tmp_path):
     # config values pass the checks of their flags: choices and type
     for bad in ({"strategy": "bogus", "n": 2, "max_degree": 1},
                 {"trials": 2.5, "strategy": "random", "n": 2,
-                 "max_degree": 1}):
+                 "max_degree": 1},
+                {"trials": 0, "strategy": "random", "n": 2, "max_degree": 1},
+                {"n": 2, "max_degree": -1}, {"n": 2, "window": -1}):
         typo.write_text(json.dumps(bad))
         assert run_cli(["verify", "--suite", "loop", "--config", str(typo),
                         "--out", str(out)]) == 2, bad
         assert not out.exists()
+
+
+# one small command of each kind the benchmark runs
+SYMPY_FREE_COMMANDS = [
+    ["verify", "--suite", "loop", "-n", "2", "-D", "2", "-R", "1"],
+    ["verify", "--suite", "loop", "-n", "2", "-D", "2", "-R", "1",
+     "--strategy", "random", "--seed", "7"],
+    ["verify", "--suite", "toroidal", "-n", "3", "-D", "1", "-R", "1"],
+    ["verify", "--suite", "controls", "-n", "3", "-D", "1"],
+    ["verify", "--suite", "glzero", "-n", "3", "-D", "1"],
+    ["verify", "--suite", "oracle", "-n", "3", "-D", "1"],
+    ["patterns", "--affine", "-n", "3", "--total", "1"],
+    ["specialize", "-n", "3", "-K", "1", "--mu", "1,0,0",
+     "--max-degree", "2"],
+    ["specialize", "-n", "3", "-K", "1", "--mu", "0,0,0",
+     "--max-degree", "1", "--wrong-u"],
+    ["op-matrix", "-n", "3", "--affine", "--kind", "f", "--node", "1",
+     "-d", "1,1,0", "-r", "1"],
+]
+
+
+def test_verify_paths_never_import_sympy(tmp_path):
+    # sympy is the LaurentExpr test reference only: a fresh interpreter
+    # that runs the benchmark's kinds of command must never load it
+    script = """
+import json, sys
+import laumonk.cli
+from laumonk.exact import LaurentContext
+LaurentContext(3)
+codes = [laumonk.cli.main(argv + ["--out", sys.argv[1]])
+         for argv in json.loads(sys.argv[2])]
+print(json.dumps({"codes": codes, "sympy": "sympy" in sys.modules}))
+"""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path / "r.json"),
+         json.dumps(SYMPY_FREE_COMMANDS)],
+        capture_output=True, text=True, env=env, timeout=300, check=True)
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["codes"] == [0] * 7 + [0, 1, 0]
+    assert result["sympy"] is False

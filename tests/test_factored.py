@@ -99,10 +99,13 @@ def test_reduce_and_zero_test_match_the_field(pair):
 def test_products_and_sums_match_the_field(a, b):
     (fa, ra), (fb, rb) = a, b
     assert (fa * fb).reduce() == ra * rb
+    assert (fa * fb).to_string() == (ra * rb).to_string()
     assert (fa + fb).reduce() == ra + rb
+    assert (fa + fb).to_string() == (ra + rb).to_string()
     assert ((fa - fb) == 0) == (ra == rb)
     if not rb.is_zero:
         assert (fa / fb).reduce() == ra / rb
+        assert (fa / fb).to_string() == (ra / rb).to_string()
 
 
 @SETTINGS
@@ -208,6 +211,64 @@ def test_common_denominator_need_not_be_least():
     mr = REF[0] * REF[3] ** -1
     assert nonzero.reduce() == 2 / (1 - mr ** 2)
     assert nonzero.to_string() == (2 / (1 - mr ** 2)).to_string()
+
+
+def _gcd_cases():
+    """(FactoredExpr, LaurentExpr reference, text) whose canonical form
+    needs a nontrivial gcd of two factors; built anew on each call."""
+    t1, t2, u, v = FAC[0], FAC[1], FAC[2], FAC[3]
+    r1, r2, ru, rv = REF[0], REF[1], REF[2], REF[3]
+    m, mr = t1 * v ** -1, r1 * rv ** -1
+    cases = [
+        # 1 - m^4 and 1 - m^2 share the cyclotomic factor 1 - m^2
+        ((1 - m ** 4) / (1 - m ** 2), (1 - mr ** 4) / (1 - mr ** 2),
+         "(t1^2 + v^2) / (v^2)"),
+    ]
+    # a three-term denominator factor against the six-term factor that the
+    # expanded numerator (t1 - u)(t1 + t2 + v) collapses into
+    g, gr = t1 + t2 + v, r1 + r2 + rv
+    num = t1 ** 2 + t1 * t2 + t1 * v - u * t1 - u * t2 - u * v
+    cases.append((num / g, r1 - ru, "t1^1 - u^1"))
+    cases.append((num / (2 * g * (t1 - u) ** 2),
+                  ((r1 - ru) * gr) / (2 * gr * (r1 - ru) ** 2),
+                  "(1) / (2*t1^1 - 2*u^1)"))
+    # a sum (no factor in common with 1 + m by syntax) that is a monomial
+    cases.append(((t1 / (1 - m) - t1 * m ** 2 / (1 - m)) / (1 + m), r1,
+                  "t1^1"))
+    return cases
+
+
+def test_canonical_form_through_a_common_factor():
+    for f, r, text in _gcd_cases():
+        assert f.terms and f._single()[2]  # a factored term, not a monomial
+        assert f.to_string() == r.to_string() == text
+        assert f.reduce() == r
+        assert hash(f) == hash(r)
+    sum_to_monomial = _gcd_cases()[-1][0]
+    assert len(sum_to_monomial.terms) == 1
+    assert hash(sum_to_monomial) == hash(FAC[0])
+    assert sum_to_monomial == FAC[0]
+
+
+def test_canonical_form_when_the_heuristic_gcd_gives_up(monkeypatch):
+    import laumonk.exact as exact
+
+    def values():
+        out = [f for f, _, _ in _gcd_cases()]
+        m = FAC[0] * FAC[1] ** -1 * FAC[3]
+        out.append((1 - m ** 6) * FAC[2] / ((1 - m ** 4) * (FAC[0] - FAC[2])))
+        return out
+
+    want = [f.to_string() for f in values()]
+    calls = []
+
+    def give_up(f, g):
+        calls.append(1)
+        return None
+
+    monkeypatch.setattr(exact, "_heugcd", give_up)
+    assert [f.to_string() for f in values()] == want
+    assert calls
 
 
 def test_factor_table_under_concurrent_interning():

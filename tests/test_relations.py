@@ -177,6 +177,13 @@ def test_unknown_strategy_is_rejected(fm2):
                        strategy="bogus")
 
 
+def test_random_strategy_needs_a_trial(fm2):
+    # with no sample point every residual is empty and every entry "passes"
+    with pytest.raises(ValueError, match="at least one trial"):
+        verify_xx_same(fm2, "f", 1, window=1, max_degree=1,
+                       strategy="random", trials=0)
+
+
 def test_report_determinism(fm2):
     a = verify_xx_same(fm2, "f", 1, window=1, max_degree=2,
                        strategy="random", seed=42)
