@@ -5,8 +5,10 @@ The first commands and sha256 digests are those listed under "Report
 digests" in perfbench/README.md, except the seven specialize reports, which
 lost their unused "window" field and were re-pinned; the random-strategy
 controls, toroidal and
-glzero runs, the random loop acceptance scope and the symbolic loop,
-toroidal and glzero acceptance scopes follow. A digest that moves
+glzero runs, the random loop acceptance scope, the symbolic loop,
+toroidal and glzero acceptance scopes and three n = 4 scopes (loop,
+random toroidal and controls, which pin psi modes at n = 4) follow. A
+digest that moves
 means a verdict, an entry count or a serialized value changed (the failing
 random controls pin the residual strings of the random strategy). Every verify command also runs with one and with
 two workers, and both runs must give the same bytes. The op-matrix reports
@@ -66,6 +68,16 @@ VERIFY = {
     "glzero-acceptance": (
         ["verify", "--suite", "glzero", "-n", "4", "-D", "3"],
         "81efcb82db803e5307a6f7c017dfaacdcf259a913a3c718f2a99b78d5ea2e3b4"),
+    "loop-n4": (
+        ["verify", "--suite", "loop", "-n", "4", "-D", "3", "-R", "1"],
+        "fc197a068705b339b58472abb441c31e7bb6b637d64bb4454cbe7fc20f4d1fac"),
+    "toroidal-n4-random": (
+        ["verify", "--suite", "toroidal", "-n", "4", "-D", "2", "-R", "1",
+         "--strategy", "random", "--seed", "7", "--trials", "5"],
+        "412026a6d76452e23436abe0cf28a06bb2e3e4cb31d658ca0892d65633e432b8"),
+    "controls-n4": (
+        ["verify", "--suite", "controls", "-n", "4", "-D", "2"],
+        "02249b40e741c3de2c18717c2f744351e742a142d731ef530c6afe89990b464d"),
 }
 
 OTHER = {
