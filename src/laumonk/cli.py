@@ -52,6 +52,8 @@ def _parse_int_list(text):
 
 
 def cmd_patterns(args) -> int:
+    if args.total is not None and (args.deg or not args.affine):
+        raise ValueError("--total needs --affine and no --deg")
     if args.affine:
         if args.total is not None:
             pats = enumerate_affine_total(args.n, args.total)
@@ -282,7 +284,7 @@ def build_parser():
     group.add_argument("--finite", action="store_true")
     group.add_argument("--affine", action="store_true")
     pat.add_argument("-d", "--deg", default="")
-    pat.add_argument("--total", type=int, default=None)
+    pat.add_argument("--total", type=_at_least(0), default=None)
     pat.add_argument("--out", default=None)
     pat.set_defaults(fn=cmd_patterns)
 

@@ -29,8 +29,9 @@ with the variables ordered (t_1..t_n, u, v, z).  Values come in two types:
   `expand_series` reduce through `_cancel`, which falls back to the modular
   gcd where sympy's heuristic gcd gives up.
 
-Psi modes come from `series_coefficient`, which expands a `FactoredExpr`
-factor by factor with no gcd.
+Psi modes come from `z_partial_fractions`, which reads the limit at
+z = infinity and the residue of every simple pole 1 - beta/z off the
+factored form, with no gcd.
 
 Laurent monomials with negative exponents are ordinary field elements
 (t^-2 is 1/t^2).  No floating point anywhere.
@@ -41,7 +42,7 @@ from __future__ import annotations
 import heapq
 import threading
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt, lcm, prod
 
 
 class ExactError(Exception):
@@ -169,9 +170,10 @@ class LaurentContext:
     The generators t, u, v, z and the constants are `FactoredExpr` values;
     `field` and `ring` are the sympy field of the `LaurentExpr` reference
     and its polynomial ring, built on first access.  The context also owns
-    the table of normalized factors (interned by syntax) and their cached
-    powers; these grow with the distinct factors a computation meets and
-    live as long as the context.
+    the table of normalized factors (interned by syntax), their cached
+    powers and the memo of `z_partial_fractions`; these grow with the
+    distinct factors and psi eigenvalues a computation meets and live as
+    long as the context.
     """
 
     _cache: dict = {}
@@ -192,6 +194,7 @@ class LaurentContext:
         self._factor_ids = {}
         self._factor_polys = []
         self._factor_pows = {}
+        self._partial_fractions = {}
         var = [FactoredExpr(self, ((1, 1 << (_BITS * i), ()),))
                for i in range(len(names))]
         self.t = tuple(var[:n])
@@ -1098,7 +1101,7 @@ def expand_series(f, direction: str, order: int) -> list:
     have an invertible constant term; at infinity the numerator's z-degree
     must not exceed the denominator's (otherwise the expansion is not a pure
     z^{-r} series and NotExpandable is raised).  This is the reference that
-    tests hold `series_coefficient` to.
+    tests hold the psi modes of `z_partial_fractions` to.
     """
     if direction not in (AT_INFINITY, AT_ZERO):
         raise ExactError("bad direction %r" % direction)
@@ -1169,102 +1172,50 @@ def recomposition_residual(f, direction: str, coeffs) -> bool:
     return all(d - dref > order for d in numc)
 
 
-def series_coefficient(f, direction: str, r: int) -> FactoredExpr:
-    """Coefficient of z^{-r} (at_infinity) resp. z^{r} (at_zero) in the
-    Laurent expansion of a FactoredExpr, as a sum of monomial terms.
+def z_partial_fractions(f):
+    """Partial fractions of f in z: (limit at z = infinity, ((beta, c), ..)).
 
-    The expansion runs factor by factor with no gcd: each factor is written
-    as x^s * lead * (1 + g(x)) in the expansion variable x (z^{-1} at
-    infinity, z at zero), which needs a monomial `lead`.  A factor
-    1 - a z^{-1} with a z-free monomial a has one in both directions, and
-    psi eigenvalues have no other factors.  A factor without one (a z-free
-    polynomial, say) raises NotExpandable, even where the reduced value has
-    an expansion over the coefficient field.
+    f must be one term L * prod_a (1 - a/z)^k / prod_b (1 - b/z) with L and
+    every a, b free of z, simple poles b and no more zeros than poles
+    (counted with exponent); z-free factors belong to L.  Then
+        f = L + sum_b c_b (1 / (1 - b/z) - 1),  c_b = [(1 - b/z) f] at z = b,
+    so f is L + sum_{m>0} (sum_b c_b b^m) z^{-m} at z = infinity and
+    L - sum_b c_b - sum_{m<0} (sum_b c_b b^m) z^{-m} at z = 0.  Any other
+    shape raises NotExpandable; zero gives (0, ()).  Memoized per context
+    under the expression's terms.
     """
-    if direction not in (AT_INFINITY, AT_ZERO):
-        raise ExactError("bad direction %r" % direction)
     ctx = f.ctx
+    hit = ctx._partial_fractions.get(f.terms)
+    if hit is not None:
+        return hit
+    t = f._single()
+    if t is None:
+        return ctx.zero, ()
+    coeff, mono, fac = t
     zi = ctx._z_index
-    zunit = 1 << (_BITS * zi)
-    sign = -1 if direction == AT_INFINITY else 1
-    total = {}
-    for c, m, fac in f.terms:
-        ez = _unpack(m, ctx.nvars)[zi]
-        need = r - sign * ez
-        coeff, key = c, m - ez * zunit
-        parts = []
-        for fid, k in fac:
-            split = _series_split(ctx, fid, sign)
-            if split is None:
-                raise NotExpandable("factor without a monomial lowest-order "
-                                    "part in the expansion variable")
-            s, lc, lkey, g = split
-            need -= s * k
-            coeff, key = coeff * _qpow(lc, k), key + lkey * k
-            parts.append((g, k))
-        if need < 0:
+    if _unpack(mono, ctx.nvars)[zi]:
+        raise NotExpandable("monomial carries z")
+    rest, roots = [], []
+    for fid, k in fac:
+        poly = ctx._factor_polys[fid]
+        zexps = {_unpack(e, ctx.nvars)[zi] for e in poly}
+        if zexps == {0}:
+            rest.append((fid, k))
             continue
-        series = _series_one(need)
-        for g, k in parts:
-            series = _series_mul(series, _series_pow(g, k, need), need)
-        for e, v in series[need].items():
-            total[key + e] = total.get(key + e, 0) + coeff * v
-    return FactoredExpr(ctx, tuple((_q(v), e, ()) for e, v in total.items() if v))
-
-
-def _series_split(ctx, fid, sign):
-    """(s, lead coefficient, lead monomial, g) with factor
-    x^s * lead * (1 + g(x)), g = {order >= 1: z-free polynomial}, x = z^sign;
-    None when the lowest x-order part is not a monomial."""
-    zi = ctx._z_index
-    zunit = 1 << (_BITS * zi)
-    by_order = {}
-    for key, c in ctx._factor_polys[fid].items():
-        ez = _unpack(key, ctx.nvars)[zi]
-        by_order.setdefault(sign * ez, []).append((key - ez * zunit, c))
-    s = min(by_order)
-    lead = by_order.pop(s)
-    if len(lead) != 1:
-        return None
-    (lkey, lc), = lead
-    g = {d - s: {key - lkey: _qdiv(c, lc) for key, c in items}
-         for d, items in by_order.items()}
-    return s, lc, lkey, g
-
-
-def _series_one(n):
-    return [{0: 1}] + [{} for _ in range(n)]
-
-
-def _series_mul(a, b, n):
-    """Product of two series (lists of polynomials by order) through order n."""
-    out = [{} for _ in range(n + 1)]
-    for i, pa in enumerate(a):
-        if not pa:
-            continue
-        for j in range(n + 1 - i):
-            if b[j]:
-                acc = out[i + j]
-                for e, c in _pmul(pa, b[j]).items():
-                    acc[e] = acc.get(e, 0) + c
-    return out
-
-
-def _series_pow(g, k, n):
-    """(1 + g)^k through order n, for g of order >= 1 and any integer k."""
-    if k < 0:
-        # 1 / (1 + g) = sum_i (-g)^i, and (-g)^i starts at order i
-        neg = [{}] + [{e: -c for e, c in g.get(d, {}).items()}
-                      for d in range(1, n + 1)]
-        base, power = _series_one(n), _series_one(n)
-        for _ in range(n):
-            power = _series_mul(power, neg, n)
-            base = [{e: a.get(e, 0) + b.get(e, 0) for e in a.keys() | b.keys()}
-                    for a, b in zip(base, power)]
-        k = -k
-    else:
-        base = [{0: 1}] + [g.get(d, {}) for d in range(1, n + 1)]
-    out = _series_one(n)
-    for _ in range(k):
-        out = _series_mul(out, base, n)
-    return out
+        if len(poly) != 2 or zexps != {0, -1}:
+            raise NotExpandable("z-factor is not 1 - beta/z")
+        if k < -1:
+            raise NotExpandable("pole of order %d" % -k)
+        # the normalized factor a + b x/z, leading key 0, is a (1 - beta/z)
+        e, a = min(poly), poly[0]
+        roots.append((FactoredExpr(ctx, ((_qdiv(-poly[e], a),
+                                          e + (1 << (_BITS * zi)), ()),)), k))
+        coeff = coeff * _qpow(a, k)
+    if sum(k for _, k in roots) > 0:
+        raise NotExpandable("more zeros than poles")
+    limit = FactoredExpr(ctx, ((_q(coeff), mono, tuple(rest)),))
+    hit = ctx._partial_fractions[f.terms] = (limit, tuple(
+        (b, prod(((1 - a / b) ** k for a, k in roots if a is not b),
+                 start=limit))
+        for b, kb in roots if kb < 0))
+    return hit

@@ -1,7 +1,8 @@
 """Loop-algebra operators on the finite module in the fixed-point basis.
 
-Matrix coefficients of the raising/lowering modes, the diagonal psi-series,
-the auxiliary b-series and the chi coefficients.  All s-values are read
+Matrix coefficients of the raising/lowering modes, the diagonal psi-series
+(its modes read off the partial fractions of the eigenvalue in z), the
+auxiliary b-series and the chi coefficients.  All s-values are read
 off the SOURCE pattern of a transition: the f-modes raise degree at node i
 and read the smaller pattern, the e-modes lower it and read the larger one.  Boundary rows obey d_0 = d_n = 0 and
 s_{n,k} = t_k^2.
@@ -17,8 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import prod
 
-from .exact import AT_INFINITY, AT_ZERO, FactoredExpr, LaurentContext, \
-    series_coefficient
+from .exact import FactoredExpr, LaurentContext, z_partial_fractions
 from .patterns import FinitePattern, neighbors, s_weight
 
 
@@ -163,15 +163,19 @@ def psi_from_quotients(action, p, i, m, twist) -> FactoredExpr:
 
 def psi_series_mode(action, p, i, m, sign) -> FactoredExpr:
     """Coefficient of z^{-m} in the +/- expansion of the action's psi
-    eigenvalue; 0 on sign mismatch."""
+    eigenvalue; 0 on sign mismatch.  With the partial fractions
+    psi = L + sum_b c_b (1 / (1 - b/z) - 1), psi^+_0 = L,
+    psi^-_0 = L - sum_b c_b and psi^+_m = -psi^-_m = sum_b c_b b^m."""
     if sign not in ("+", "-"):
         raise ActionError("sign must be '+' or '-'")
     if (sign == "+" and m < 0) or (sign == "-" and m > 0):
         return action.ctx.zero
-    psi = action.psi_eigenvalue(p, i)
-    if sign == "+":
-        return series_coefficient(psi, AT_INFINITY, m)
-    return series_coefficient(psi, AT_ZERO, -m)
+    limit, poles = z_partial_fractions(action.psi_eigenvalue(p, i))
+    if m == 0:
+        return limit if sign == "+" else limit - sum(
+            (c for _, c in poles), action.ctx.zero)
+    mode = sum((c * b ** m for b, c in poles), action.ctx.zero)
+    return mode if sign == "+" else -mode
 
 
 class FiniteAction:

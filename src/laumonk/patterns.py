@@ -298,6 +298,8 @@ def enumerate_affine(n: int, deg) -> list:
 def enumerate_affine_total(n: int, total: int, *, deg=None) -> list:
     """All affine patterns with total box count `total`; with a degree
     vector deg, only those of that degree (filtered before sorting)."""
+    if n < 2 or total < 0:
+        raise PatternError("affine patterns need n >= 2 and total >= 0")
     results = []
     for split in itertools.product(range(total + 1), repeat=n):
         if sum(split) != total:

@@ -20,8 +20,7 @@ by -n multiplies the mode-r coefficient by exactly (v^n u^2)^{-r}).
 
 from __future__ import annotations
 
-from .exact import AT_INFINITY, FactoredExpr, LaurentContext, \
-    series_coefficient
+from .exact import FactoredExpr, LaurentContext, z_partial_fractions
 from .finite_action import ActionError, b_quotient, move_beta, \
     move_coefficient, move_transitions, psi_from_quotients, psi_series_mode, \
     psi_value
@@ -205,6 +204,6 @@ class ToroidalAction:
             }
             for tgt, coeff in self.chevalley_transitions(p, 0, kind):
                 ratios[kind].add((coeff / plain[tgt]).to_string())
-        psi0 = series_coefficient(self.psi_hat_eigenvalue(p), AT_INFINITY, 0)
+        psi0 = z_partial_fractions(self.psi_hat_eigenvalue(p))[0]
         ratios["k"].add((self.chevalley_k(p, 0) / psi0).to_string())
         return {k: sorted(v) for k, v in ratios.items()}

@@ -8,7 +8,8 @@ import pytest
 
 from laumonk import cli
 from laumonk.cli import main
-from laumonk.patterns import AffinePattern
+from laumonk.patterns import AffinePattern, PatternError, \
+    enumerate_affine_total
 from laumonk.tangent import TangentOracle, WeightMultiset
 
 
@@ -28,6 +29,23 @@ def test_patterns_counts(tmp_path, capsys):
     assert run_cli(["patterns", "--finite", "-n", "2", "-d", "0",
                     "--out", str(out)]) == 0
     assert json.loads(out.read_text())["count"] == 1
+
+
+def test_patterns_scopes_that_list_nothing_exit_2(tmp_path):
+    out = tmp_path / "p.json"
+    for bad in (["--affine", "-n", "3", "--total", "-1"],
+                ["--affine", "-n", "0", "--total", "1"],
+                ["--affine", "-n", "3", "-d", "1,0,0", "--total", "1"],
+                ["--finite", "-n", "3", "--total", "1"],
+                ["-n", "3", "-d", "1,1", "--total", "1"]):
+        try:
+            code = run_cli(["patterns"] + bad + ["--out", str(out)])
+        except SystemExit as err:
+            code = err.code
+        assert code == 2, bad
+    assert not out.exists()
+    with pytest.raises(PatternError):
+        enumerate_affine_total(1, 0)
 
 
 def test_verify_exit_codes(tmp_path):

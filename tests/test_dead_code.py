@@ -19,7 +19,7 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "laumonk"
 # "module.Class.name" or "module.name" -> why it stays without a src caller
 ALLOWED = {
     "exact.expand_series":
-        "test reference for series_coefficient; a perfbench trace target",
+        "test reference for psi_mode",
     "exact.recomposition_residual":
         "test reference: independent check of expand_series",
     "finite_action.FiniteAction.psi_via_a_series":

@@ -17,7 +17,7 @@ from laumonk.exact import (
     _cancel_modular,
     expand_series,
     recomposition_residual,
-    series_coefficient,
+    z_partial_fractions,
 )
 
 
@@ -125,18 +125,40 @@ def test_expand_series_errors(ctx):
         expand_series(1 / z, AT_ZERO, 1)
     with pytest.raises(ExactError):
         expand_series(1 / (z - 1), "sideways", 1)
-    with pytest.raises(ExactError):
-        series_coefficient(1 / (z - 1), "sideways", 1)
 
 
-def test_series_coefficient_needs_a_monomial_lead(ctx):
-    # the lowest z^{-1}-order part of t1 + t2 + z^{-1} is t1 + t2: the
-    # reduced value expands over the field, the factored expansion refuses
+def test_partial_fractions_of_zero_and_z_free_factors(ctx):
     t1, t2 = ctx.t
-    f = 1 / (t1 + t2 + ctx.z ** -1)
-    assert expand_series(f, AT_INFINITY, 0) == [(1 / (t1 + t2)).reduce()]
+    v, z = ctx.v, ctx.z
+    assert z_partial_fractions(ctx.zero) == (ctx.zero, ())
+    assert z_partial_fractions(z / z - 1) == (ctx.zero, ())
+    # z-free factors belong to the limit; zeros may have any exponent
+    f = (1 - t1 / t2) * (1 - t1 / z) ** 2 / ((1 - v / z) * (1 - t2 / z))
+    limit, poles = z_partial_fractions(f)
+    assert limit == 1 - t1 / t2
+    assert {b.as_monomial(): c for b, c in poles} == {
+        v.as_monomial(): limit * (1 - t1 / v) ** 2 / (1 - t2 / v),
+        t2.as_monomial(): limit * (1 - t1 / t2) ** 2 / (1 - v / t2)}
+    assert z_partial_fractions(f) is z_partial_fractions(f)
+
+
+@pytest.mark.parametrize("case", ["z in the monomial", "not 1 - beta/z",
+                                  "double pole", "more zeros than poles"])
+def test_partial_fractions_not_expandable(ctx, case):
+    t1, t2 = ctx.t
+    v, z = ctx.v, ctx.z
+    f = {"z in the monomial": z / (1 - t1 / z),
+         # the lowest z^{-1}-order part of t1 + t2 + z^{-1} is t1 + t2: the
+         # reduced value expands over the field, the partial fractions refuse
+         "not 1 - beta/z": 1 / (t1 + t2 + z ** -1),
+         "double pole": (1 - v / z) / (1 - t1 / z) ** 2,
+         "more zeros than poles": (1 - v / z) ** 2 / (1 - t1 / z)}[case]
+    if case == "not 1 - beta/z":
+        assert expand_series(f, AT_INFINITY, 0) == [(1 / (t1 + t2)).reduce()]
+        with pytest.raises(NotExpandable):
+            z_partial_fractions(1 / (1 - t1 / z ** 2))
     with pytest.raises(NotExpandable):
-        series_coefficient(f, AT_INFINITY, 0)
+        z_partial_fractions(f)
 
 
 def test_recomposition(ctx):

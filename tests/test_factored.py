@@ -3,13 +3,14 @@
 Every generated expression is built twice, once in FactoredExpr and once in
 LaurentExpr (sympy's reduced field, each operation reduced on the spot), and
 the two must agree on the reduced form, the zero test, exact evaluation, the
-text form, hashing and the series coefficients.
+text form, hashing and the psi modes of the partial fractions in z.
 """
 
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
-from hypothesis import HealthCheck, assume, event, given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from laumonk.exact import (
@@ -20,10 +21,10 @@ from laumonk.exact import (
     FactoredExpr,
     LaurentContext,
     LaurentExpr,
-    NotExpandable,
     expand_series,
-    series_coefficient,
+    z_partial_fractions,
 )
+from laumonk.finite_action import psi_series_mode
 
 CTX = LaurentContext(2)
 # reference generators in the reduced field, same order as CTX.var_names
@@ -172,23 +173,41 @@ def test_evaluate_pair_raises_on_a_vanishing_denominator_factor():
     assert num == 0 and den
 
 
+@st.composite
+def pole_products(draw):
+    """L * prod (1 - b/z)^k over distinct monomials b: simple poles (k = -1)
+    and zeros of exponent 1 or 2, no more zeros than poles."""
+    c, exps = draw(coefficients), draw(exponents)
+    betas = draw(st.lists(st.tuples(coefficients, exponents), max_size=4,
+                          unique=True))
+    ks = [draw(st.sampled_from([-1, -1, 1, 2])) for _ in betas]
+    while sum(k for k in ks if k > 0) > ks.count(-1):
+        ks[next(i for i, k in enumerate(ks) if k > 0)] = -1
+    f, r = _monomial(c, exps)
+    for (cb, eb), k in zip(betas, ks):
+        bf, br = _monomial(cb, eb, z=-1)
+        f, r = f * (1 - bf) ** k, r * (1 - br) ** k
+    return f, r
+
+
 @SETTINGS
-@given(pairs, st.sampled_from([AT_INFINITY, AT_ZERO]), st.integers(0, 3))
-def test_series_coefficient_matches_expand_series(pair, direction, r):
+@given(pole_products())
+def test_partial_fractions_match_expand_series(pair):
     f, ref = pair
-    try:
-        got = series_coefficient(f, direction, r)
-    except NotExpandable:
-        # a factor with no monomial lowest-order part (psi eigenvalues have
-        # none; see test_psi_eigenvalues_expand_in_both_directions)
-        event("series_coefficient: NotExpandable")
-        assume(False)
-    try:
-        want = expand_series(ref, direction, r)[r]
-    except NotExpandable:
-        event("expand_series: NotExpandable")
-        assume(False)
-    assert got.reduce() == want
+    limit, poles = z_partial_fractions(f)
+    z = CTX.z
+    assert f == limit + sum((c * (1 / (1 - b / z) - 1) for b, c in poles),
+                            CTX.zero)
+    # psi modes of both signs from the decomposition, against the field's
+    # expansion at z = infinity (z^-r) and at z = 0 (z^r)
+    action = SimpleNamespace(ctx=CTX, psi_eigenvalue=lambda p, i: f)
+    at_infinity = expand_series(ref, AT_INFINITY, 3)
+    at_zero = expand_series(ref, AT_ZERO, 3)
+    for r in range(4):
+        assert psi_series_mode(action, None, 1, r, "+").reduce() \
+            == at_infinity[r]
+        assert psi_series_mode(action, None, 1, -r, "-").reduce() \
+            == at_zero[r]
 
 
 def test_factors_differing_by_a_unit_cancel():

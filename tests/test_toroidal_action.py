@@ -1,10 +1,11 @@
 import itertools
+from types import SimpleNamespace
 
 import pytest
 
 from laumonk.exact import AT_INFINITY, AT_ZERO, expand_series, \
-    series_coefficient
-from laumonk.finite_action import ActionError, FiniteAction
+    z_partial_fractions
+from laumonk.finite_action import ActionError, FiniteAction, psi_series_mode
 from laumonk.patterns import AffinePattern, FinitePattern, \
     enumerate_affine_total, enumerate_finite
 from laumonk.toroidal_action import ToroidalAction
@@ -101,14 +102,19 @@ def test_periodic_shift_invariant(T, pats):
 
 
 def test_hat_mode_factor(T, pats):
-    # the shifted node-n series psi_n(z v^n u^2) has the node-n modes times
-    # (v^n u^2)^{-r}
+    # the shifted node-n series psi_n(z v^n u^2) has the node-n limit, the
+    # node-n poles times (v^n u^2)^{-1} and the same residues, so its modes
+    # are the node-n modes times (v^n u^2)^{-r}
     assert T.hat_scale == T.ctx.v ** 3 * T.ctx.u ** 2
     for p in pats[:6]:
-        hat, plain = T.psi_hat_eigenvalue(p), T.psi_eigenvalue(p, 3)
-        for r in range(3):
-            assert series_coefficient(hat, AT_INFINITY, r) == \
-                series_coefficient(plain, AT_INFINITY, r) * T.hat_scale ** -r
+        hat_limit, hat_poles = z_partial_fractions(T.psi_hat_eigenvalue(p))
+        limit, poles = z_partial_fractions(T.psi_eigenvalue(p, 3))
+        assert hat_limit == limit
+        assert poles
+        residues = {(b / T.hat_scale).as_monomial(): c for b, c in poles}
+        assert {b.as_monomial() for b, _ in hat_poles} == set(residues)
+        for b, c in hat_poles:
+            assert c == residues[b.as_monomial()]
 
 
 def test_psi_hat_is_scaled_node_n():
@@ -187,7 +193,10 @@ def test_transitions_reject_unknown_kinds(action, src):
 
 def _psi_eigenvalues(kind, n, max_total=3):
     """Every psi eigenvalue of the finite (n) or affine (n) module on the
-    patterns of total degree <= max_total, with psi_hat on the affine one."""
+    patterns of total degree <= max_total, with psi_hat on the affine one,
+    each as (psi, mode) with mode(m, sign) its psi mode: `psi_mode` for the
+    plain eigenvalues, the same mode function read through psi_hat for the
+    hat."""
     if kind == "finite":
         action = FiniteAction(n)
         degrees = [d for d in itertools.product(range(max_total + 1),
@@ -202,21 +211,43 @@ def _psi_eigenvalues(kind, n, max_total=3):
         nodes = range(1, n + 1)
     for p in pats:
         for i in nodes:
-            yield action.psi_eigenvalue(p, i)
+            yield action.psi_eigenvalue(p, i), \
+                lambda m, sign, p=p, i=i: action.psi_mode(p, i, m, sign)
         if kind == "affine":
-            yield action.psi_hat_eigenvalue(p)
+            hat = SimpleNamespace(ctx=action.ctx,
+                                  psi_eigenvalue=lambda q, i, p=p:
+                                  action.psi_hat_eigenvalue(p))
+            yield action.psi_hat_eigenvalue(p), \
+                lambda m, sign, hat=hat: psi_series_mode(hat, p, 0, m, sign)
 
 
 @pytest.mark.parametrize("kind, n, size", [("finite", 3, 26),
                                            ("finite", 4, 87),
                                            ("affine", 3, 140)])
 def test_psi_eigenvalues_expand_in_both_directions(kind, n, size):
-    # series_coefficient raises NotExpandable on a factor with no monomial
-    # lowest-order part; psi_mode, and so verify, never meets one
+    # z_partial_fractions raises NotExpandable on any other shape than
+    # simple poles 1 - beta/z with no more zeros than poles; psi_mode, and
+    # so verify, never meets one
     count = 0
-    for psi in _psi_eigenvalues(kind, n):
-        for direction in (AT_INFINITY, AT_ZERO):
-            for r in range(3):
-                series_coefficient(psi, direction, r)
+    for psi, _ in _psi_eigenvalues(kind, n):
+        limit, poles = z_partial_fractions(psi)
+        assert limit and poles
+        count += 1
+    assert count == size
+
+
+@pytest.mark.parametrize("kind, max_total, size", [("finite", 3, 26),
+                                                   ("affine", 2, 52)])
+def test_psi_modes_match_expand_series(kind, max_total, size):
+    # psi^+_m is the z^-m coefficient at z = infinity, psi^-_m the z^-m
+    # coefficient at z = 0
+    count = 0
+    for psi, mode in _psi_eigenvalues(kind, 3, max_total):
+        at_infinity = expand_series(psi, AT_INFINITY, 2)
+        at_zero = expand_series(psi, AT_ZERO, 2)
+        for m in range(-2, 3):
+            plus, minus = mode(m, "+"), mode(m, "-")
+            assert plus.reduce() == (at_infinity[m] if m >= 0 else 0)
+            assert minus.reduce() == (at_zero[-m] if m <= 0 else 0)
         count += 1
     assert count == size
