@@ -290,7 +290,7 @@ def _partitions_of(m: int):
 def enumerate_affine(n: int, deg) -> list:
     """All affine patterns whose induced degree vector equals deg."""
     deg = tuple(int(x) for x in deg)
-    if n < 2 or len(deg) != n:
+    if len(deg) != n:
         raise PatternError("affine degree vector must have n entries")
     return enumerate_affine_total(n, sum(deg), deg=deg)
 

@@ -142,18 +142,19 @@ def test_partial_fractions_of_zero_and_z_free_factors(ctx):
     assert z_partial_fractions(f) is z_partial_fractions(f)
 
 
-@pytest.mark.parametrize("case", ["z in the monomial", "not 1 - beta/z",
-                                  "double pole", "more zeros than poles"])
+@pytest.mark.parametrize("case", ["z-in-the-monomial",
+                                  "not-1-minus-beta-over-z", "double-pole",
+                                  "more-zeros-than-poles"])
 def test_partial_fractions_not_expandable(ctx, case):
     t1, t2 = ctx.t
     v, z = ctx.v, ctx.z
-    f = {"z in the monomial": z / (1 - t1 / z),
+    f = {"z-in-the-monomial": z / (1 - t1 / z),
          # the lowest z^{-1}-order part of t1 + t2 + z^{-1} is t1 + t2: the
          # reduced value expands over the field, the partial fractions refuse
-         "not 1 - beta/z": 1 / (t1 + t2 + z ** -1),
-         "double pole": (1 - v / z) / (1 - t1 / z) ** 2,
-         "more zeros than poles": (1 - v / z) ** 2 / (1 - t1 / z)}[case]
-    if case == "not 1 - beta/z":
+         "not-1-minus-beta-over-z": 1 / (t1 + t2 + z ** -1),
+         "double-pole": (1 - v / z) / (1 - t1 / z) ** 2,
+         "more-zeros-than-poles": (1 - v / z) ** 2 / (1 - t1 / z)}[case]
+    if case == "not-1-minus-beta-over-z":
         assert expand_series(f, AT_INFINITY, 0) == [(1 / (t1 + t2)).reduce()]
         with pytest.raises(NotExpandable):
             z_partial_fractions(1 / (1 - t1 / z ** 2))

@@ -214,11 +214,11 @@ def _psi_eigenvalues(kind, n, max_total=3):
             yield action.psi_eigenvalue(p, i), \
                 lambda m, sign, p=p, i=i: action.psi_mode(p, i, m, sign)
         if kind == "affine":
-            hat = SimpleNamespace(ctx=action.ctx,
-                                  psi_eigenvalue=lambda q, i, p=p:
-                                  action.psi_hat_eigenvalue(p))
-            yield action.psi_hat_eigenvalue(p), \
-                lambda m, sign, hat=hat: psi_series_mode(hat, p, 0, m, sign)
+            hat = action.psi_hat_eigenvalue(p)
+            probe = SimpleNamespace(ctx=action.ctx,
+                                    psi_eigenvalue=lambda q, i, hat=hat: hat)
+            yield hat, lambda m, sign, probe=probe: psi_series_mode(
+                probe, None, 0, m, sign)
 
 
 @pytest.mark.parametrize("kind, n, size", [("finite", 3, 26),
