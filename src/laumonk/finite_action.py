@@ -161,7 +161,7 @@ def psi_from_quotients(action, p, i, m, twist) -> FactoredExpr:
     )
 
 
-def psi_series_mode(action, p, i, m, sign) -> FactoredExpr:
+def psi_pole_mode(action, p, i, m, sign) -> FactoredExpr:
     """Coefficient of z^{-m} in the +/- expansion of the action's psi
     eigenvalue; 0 on sign mismatch.  With the partial fractions
     psi = L + sum_b c_b (1 / (1 - b/z) - 1), psi^+_0 = L,
@@ -225,7 +225,7 @@ class FiniteAction:
 
     def psi_mode(self, p: FinitePattern, i: int, m: int, sign: str) -> FactoredExpr:
         """Coefficient of z^{-m} in the +/- expansion; 0 on sign mismatch."""
-        return psi_series_mode(self, p, i, m, sign)
+        return psi_pole_mode(self, p, i, m, sign)
 
     def b_quotient_eigenvalue(
         self, p: FinitePattern, m: int, i: int, scale: FactoredExpr

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from .exact import FactoredExpr, LaurentContext, z_partial_fractions
 from .finite_action import ActionError, b_quotient, move_beta, \
-    move_coefficient, move_transitions, psi_from_quotients, psi_series_mode, \
+    move_coefficient, move_transitions, psi_from_quotients, psi_pole_mode, \
     psi_value
 from .patterns import AffinePattern, ceil_div, p_weight
 
@@ -107,7 +107,7 @@ class ToroidalAction:
         return hit
 
     def psi_mode(self, p: AffinePattern, i: int, m: int, sign: str) -> FactoredExpr:
-        return psi_series_mode(self, p, i, m, sign)
+        return psi_pole_mode(self, p, i, m, sign)
 
     def b_quotient_eigenvalue(
         self, p: AffinePattern, m: int, i: int, scale: FactoredExpr, cutoff=None

@@ -24,7 +24,7 @@ from laumonk.exact import (
     expand_series,
     z_partial_fractions,
 )
-from laumonk.finite_action import psi_series_mode
+from laumonk.finite_action import psi_pole_mode
 
 CTX = LaurentContext(2)
 # reference generators in the reduced field, same order as CTX.var_names
@@ -204,9 +204,9 @@ def test_partial_fractions_match_expand_series(pair):
     at_infinity = expand_series(ref, AT_INFINITY, 3)
     at_zero = expand_series(ref, AT_ZERO, 3)
     for r in range(4):
-        assert psi_series_mode(action, None, 1, r, "+").reduce() \
+        assert psi_pole_mode(action, None, 1, r, "+").reduce() \
             == at_infinity[r]
-        assert psi_series_mode(action, None, 1, -r, "-").reduce() \
+        assert psi_pole_mode(action, None, 1, -r, "-").reduce() \
             == at_zero[r]
 
 

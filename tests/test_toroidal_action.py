@@ -5,7 +5,7 @@ import pytest
 
 from laumonk.exact import AT_INFINITY, AT_ZERO, expand_series, \
     z_partial_fractions
-from laumonk.finite_action import ActionError, FiniteAction, psi_series_mode
+from laumonk.finite_action import ActionError, FiniteAction, psi_pole_mode
 from laumonk.patterns import AffinePattern, FinitePattern, \
     enumerate_affine_total, enumerate_finite
 from laumonk.toroidal_action import ToroidalAction
@@ -217,7 +217,7 @@ def _psi_eigenvalues(kind, n, max_total=3):
             hat = action.psi_hat_eigenvalue(p)
             probe = SimpleNamespace(ctx=action.ctx,
                                     psi_eigenvalue=lambda q, i, hat=hat: hat)
-            yield hat, lambda m, sign, probe=probe: psi_series_mode(
+            yield hat, lambda m, sign, probe=probe: psi_pole_mode(
                 probe, None, 0, m, sign)
 
 
