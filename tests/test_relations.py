@@ -10,7 +10,9 @@ from laumonk.relations import (
     RelationId,
     _Resample,
     _run,
+    loop_suite,
     negative_controls,
+    toroidal_suite,
     verify_commutator,
     verify_gl_zero_modes,
     verify_psi_psi,
@@ -229,6 +231,32 @@ def test_resample_exhaustion_is_an_error_report(fm2):
     assert rep.to_json()["error"]
     assert len(calls) == 13
     assert len({str(points) for points in calls}) == 13  # fresh points each time
+
+
+# (suite, n) -> count and sha256 of the newline-joined relation keys in
+# report order.  The golden digests pin that order only at n = 3 and 4.
+SUITE_ORDER = {
+    ("loop", 2): (6, "332ff94c11642f1233c4884c16318b85f781fa401025a47c5f6c74193454db11"),
+    ("loop", 3): (28, "f2394fc7ac7d54f63fecb57c880d96807a9368b1a15a683c2bafcb53d2155796"),
+    ("loop", 4): (62, "df612de7a6529311b9f3bc2f6833eae6da0166f324b0d8536de1c843544a2399"),
+    ("loop", 5): (108, "bc21aef7936354d04f982b0b135324a82a9d7fa06b57b7643b4fa9e6c7ee9da4"),
+    ("loop", 6): (166, "b59c58f4136d472e95f979a02cdbf9de06927f5ef7d15dc619b242a29f50bd61"),
+    ("loop", 7): (236, "a224560b84a2745b12508870f4ae02601a8f90fb2e383fcf9297984a980cac83"),
+    ("toroidal", 3): (64, "92f53cc9ef375f409853c7a3cef076aa698e2801f2f52e37407f1a06bd98524e"),
+    ("toroidal", 4): (110, "c6e674e6232df6858265276e1e329bfd3c2943d6c6a5223e731025fe67949dd4"),
+    ("toroidal", 5): (168, "dec5d74b395c4ce6651707fe043bf191a268bacc59adba5bae9c16664b0da475"),
+    ("toroidal", 6): (238, "4d0d08347c2a3dffbb1aac89b7057c40175d840886b51200bf01d9792f15b138"),
+    ("toroidal", 7): (320, "84153e22bbbee4221fd505291e67d2becbec2f9bbf6c115bf8714fbfa840c954"),
+}
+
+
+@pytest.mark.parametrize("suite, n", sorted(SUITE_ORDER))
+def test_suite_relation_order_is_pinned(suite, n):
+    run = {"loop": loop_suite, "toroidal": toroidal_suite}[suite]
+    keys = [r.relation.key() for r in run(n, max_degree=0, window=0)]
+    count, digest = SUITE_ORDER[suite, n]
+    assert len(keys) == count
+    assert hashlib.sha256("\n".join(keys).encode()).hexdigest() == digest
 
 
 GL_FAILING_DIGESTS = {
