@@ -114,10 +114,8 @@ def oracle_suite(n: int, max_degree: int = 2) -> list:
                                         [kind, node, tr.column, r],
                                         got - tr.coeff(r))
 
-    scope = rel._scope(action, rel.SYMBOLIC, 0, None, max_degree=max_degree,
-                       window=[-1, 0, 1])
-    return [rel._run(action, rel.RelationId("bott_oracle"), scope,
-                     rel.SYMBOLIC, 0, None, body)]
+    return [rel._run(action, rel.RelationId("bott_oracle"), body,
+                     max_degree=max_degree, window=[-1, 0, 1])]
 
 
 # suite name -> the suite's reports for the parsed verify arguments

@@ -85,13 +85,7 @@ class VerificationReport:
 # -- the module an action acts on ---------------------------------------------
 #
 # The engine reads a FiniteAction or a ToroidalAction directly; the two differ
-# here only in their node range and their source enumeration.
-
-
-def _nodes(action):
-    """Nodes of the x-series: 1..n-1 on the finite module, 1..n on the
-    affine one."""
-    return range(1, action.n + 1 if action.affine else action.n)
+# here only in their source enumeration, and the suite body in its node range.
 
 
 def _cartan(action, k: int, l: int) -> int:
@@ -205,8 +199,6 @@ class RVec:
 
 
 class _SymbolicEval:
-    strategy = SYMBOLIC
-
     def __init__(self, ctx):
         self.zero, self.v, self.z = ctx.zero, ctx.v, ctx.z
 
@@ -227,12 +219,9 @@ class _RandomEval:
     with the evaluator, and so with its points.
     """
 
-    strategy = RANDOM
-
     def __init__(self, ctx, rng: random.Random, trials: int):
         self.ctx = ctx
         self.rng = rng
-        self.trials = trials
         self.points = [self._sample_point() for _ in range(trials)]
         self._at = [EvalPoint(ctx, pt) for pt in self.points]
         self._lifted = {}
@@ -329,10 +318,16 @@ class _Check:
         }
 
 
-def _run(action, rel, scope, strategy, seed, trials, body):
+def _run(action, rel, body, strategy=SYMBOLIC, seed=0, trials=None,
+         **scope):
     """Drive `body(ev, check)`, resampling on unlucky random points; when
     every attempt hits a vanishing denominator the report has status
-    "error"."""
+    "error".  The report scope is the module, the strategy and the keyword
+    arguments."""
+    scope = {"n": action.n, "module": "affine" if action.affine else "finite",
+             "strategy": strategy, "seed": seed, **scope}
+    if strategy == RANDOM:
+        scope["trials"] = trials
     for attempt in range(_ATTEMPTS):
         ev = _make_eval(action, strategy, rel, scope, seed + attempt, trials)
         check = _Check(ev)
@@ -347,15 +342,6 @@ def _run(action, rel, scope, strategy, seed, trials, body):
         rel, scope, "error", 0,
         error="each of %d sets of sample points vanished a denominator"
         % _ATTEMPTS)
-
-
-def _scope(action, strategy, seed, trials, **extra):
-    out = {"n": action.n, "module": "affine" if action.affine else "finite",
-           "strategy": strategy, "seed": seed}
-    if strategy == RANDOM:
-        out["trials"] = trials
-    out.update(extra)
-    return out
 
 
 class _PathTable:
@@ -461,8 +447,9 @@ def verify_xx_same(action, kind: str, k: int, window: int = 2,
     cexp = -2 if kind == "f" else 2
     if mutate == "halved_twist":
         cexp //= 2
-    return _xx(action, RelationId("xx_same", kind, (k,)), kind, k, k, cexp,
-               None, None, window, max_degree, strategy, seed, trials, mutate)
+    leg = (kind, k, None)
+    return _xx(action, RelationId("xx_same", kind, (k,)), leg, leg, cexp,
+               window, max_degree, strategy, seed, trials, mutate)
 
 
 def verify_xx_pair(action, kind: str, k: int, l: int, window: int = 2,
@@ -483,39 +470,40 @@ def verify_xx_pair(action, kind: str, k: int, l: int, window: int = 2,
         cexp = -a_kl if kind == "f" else a_kl
         if mutate == "squared_twist":
             cexp *= 2
-    sh_k = sh_l = None
-    if boundary:
-        shift = 1 / action.hat_scale
-        sh_k = shift if k == action.n else None
-        sh_l = shift if l == action.n else None
-    return _xx(action, RelationId(family, kind, (k, l)), kind, k, l, cexp,
-               sh_k, sh_l, window, max_degree, strategy, seed, trials, mutate)
+    shift = 1 / action.hat_scale if boundary else None
+    leg_k = (kind, k, shift if k == action.n else None)
+    leg_l = (kind, l, shift if l == action.n else None)
+    return _xx(action, RelationId(family, kind, (k, l)), leg_k, leg_l, cexp,
+               window, max_degree, strategy, seed, trials, mutate)
 
 
-def _xx(action, rel, kind, k, l, cexp, sh_k, sh_l, window, max_degree,
-        strategy, seed, trials, mutate):
+def _xx(action, rel, leg_k, leg_l, cexp, window, max_degree, strategy, seed,
+        trials, mutate, diagonal=None):
     """The twisted identity with c = v^cexp (the commutator when cexp is
-    None) at every windowed mode pair; when k == l one path table serves
-    both orders."""
-    scope = _scope(action, strategy, seed, trials, max_degree=max_degree,
-                   window=window, mutate=mutate or "")
+    None) of the legs (kind, node, beta shift) X_k and X_l at every windowed
+    mode pair (a, b).  `diagonal(ev)`, when given, returns the term
+    d(src, m) that is subtracted on the source at m = a + b.  When the legs
+    agree one path table serves both orders."""
     sources = _sources(action, max_degree)
 
     def body(ev, check):
         c = None if cexp is None else ev.v ** cexp
+        diag = None if diagonal is None else diagonal(ev)
         for src in sources:
-            t_lk = _PathTable(action, ev, [(kind, l, sh_l), (kind, k, sh_k)],
-                              src)
-            t_kl = t_lk if k == l else _PathTable(
-                action, ev, [(kind, k, sh_k), (kind, l, sh_l)], src)
-            if not (t_lk.rows or t_kl.rows):
+            t_lk = _PathTable(action, ev, [leg_l, leg_k], src)
+            t_kl = t_lk if leg_k == leg_l else _PathTable(
+                action, ev, [leg_k, leg_l], src)
+            if diag is None and not (t_lk.rows or t_kl.rows):
                 continue
             for a in range(-window, window + 1):
                 for b in range(-window, window + 1):
-                    check.acc(src, _twisted({}, t_lk, t_kl, a, b, c, ev.zero),
-                              [a, b])
+                    acc = _twisted({}, t_lk, t_kl, a, b, c, ev.zero)
+                    if diag is not None:
+                        acc[src] = acc.get(src, ev.zero) - diag(src, a + b)
+                    check.acc(src, acc, [a, b])
 
-    return _run(action, rel, scope, strategy, seed, trials, body)
+    return _run(action, rel, body, strategy, seed, trials,
+                max_degree=max_degree, window=window, mutate=mutate or "")
 
 
 def verify_commutator(action, k: int, l: int, window: int = 2,
@@ -523,31 +511,17 @@ def verify_commutator(action, k: int, l: int, window: int = 2,
                       seed: int = 0, trials: int = 5,
                       mutate: str = None) -> VerificationReport:
     """[e_{k,a}, f_{l,b}] = delta_{kl} (psi^+ - psi^-)_{k,a+b} / (v^2-1)."""
-    rel = RelationId("x_commutator", "", (k, l))
-    scope = _scope(action, strategy, seed, trials, max_degree=max_degree,
-                   window=window, mutate=mutate or "")
-    sources = _sources(action, max_degree)
 
-    def body(ev, check):
+    def diagonal(ev):
         v = ev.v
         divisor = (v - 1 / v) if mutate == "textbook_divisor" else (v * v - 1)
-        for src in sources:
-            t_ef = _PathTable(action, ev, [("f", l, None), ("e", k, None)],
-                              src)
-            t_fe = _PathTable(action, ev, [("e", k, None), ("f", l, None)],
-                              src)
-            for a in range(-window, window + 1):
-                for b in range(-window, window + 1):
-                    acc = _twisted({}, t_ef, t_fe, a, b, None, ev.zero)
-                    if k == l:
-                        m = a + b
-                        diag = (ev.lift(action.psi_mode(src, k, m, "+"))
-                                - ev.lift(action.psi_mode(src, k, m, "-"))
-                                ) / divisor
-                        acc[src] = acc.get(src, ev.zero) - diag
-                    check.acc(src, acc, [a, b])
+        return lambda src, m: (ev.lift(action.psi_mode(src, k, m, "+"))
+                               - ev.lift(action.psi_mode(src, k, m, "-"))
+                               ) / divisor
 
-    return _run(action, rel, scope, strategy, seed, trials, body)
+    return _xx(action, RelationId("x_commutator", "", (k, l)),
+               ("e", k, None), ("f", l, None), None, window, max_degree,
+               strategy, seed, trials, mutate, diagonal if k == l else None)
 
 
 def verify_psi_x(action, k: int, l: int, kind: str, max_degree: int = 3,
@@ -568,9 +542,6 @@ def verify_psi_x(action, k: int, l: int, kind: str, max_degree: int = 3,
     """
     family = {None: "psi_x", "psi_hat": "tor_psix_boundary_a",
               "x_hat": "tor_psix_boundary_b"}[boundary]
-    rel = RelationId(family, kind, (k, l))
-    scope = _scope(action, strategy, seed, trials, max_degree=max_degree,
-                   window="rational", mutate=mutate or "")
     sources = _sources(action, max_degree)
     a_kl = -1 if boundary else _cartan(action, k, l)
 
@@ -595,7 +566,9 @@ def verify_psi_x(action, k: int, l: int, kind: str, max_degree: int = 3,
                 check.entry(src, tr.target, ["rational identity"],
                             (z - c * beta) * psi_tgt - (c * z - beta) * psi_src)
 
-    return _run(action, rel, scope, strategy, seed, trials, body)
+    return _run(action, RelationId(family, kind, (k, l)), body, strategy, seed,
+                trials, max_degree=max_degree, window="rational",
+                mutate=mutate or "")
 
 
 def verify_psi_psi(action, k: int, l: int, max_degree: int = 3,
@@ -604,9 +577,6 @@ def verify_psi_psi(action, k: int, l: int, max_degree: int = 3,
     """psi-series commute: all psi operators are diagonal in one basis, so
     the products in either order agree; the check asserts the diagonal
     eigenvalue products and that no off-diagonal entries exist anywhere."""
-    rel = RelationId("psi_psi", "", (k, l))
-    scope = _scope(action, strategy, seed, trials, max_degree=max_degree,
-                   window="rational")
     sources = _sources(action, max_degree)
 
     def body(ev, check):
@@ -615,7 +585,8 @@ def verify_psi_psi(action, k: int, l: int, max_degree: int = 3,
             b = ev.lift(action.psi_eigenvalue(src, l))
             check.entry(src, src, ["diagonal"], a * b - b * a)
 
-    return _run(action, rel, scope, strategy, seed, trials, body)
+    return _run(action, RelationId("psi_psi", "", (k, l)), body, strategy,
+                seed, trials, max_degree=max_degree, window="rational")
 
 
 def verify_serre(action, kind: str, i: int, j: int, window: int = 2,
@@ -633,9 +604,6 @@ def verify_serre(action, kind: str, i: int, j: int, window: int = 2,
     sweep runs to exhibit a concrete (a, b, c) counterexample; when the
     sweep finds none, the surviving group itself is the counterexample.
     """
-    rel = RelationId("serre", kind, (i, j))
-    scope = _scope(action, strategy, seed, trials, max_degree=max_degree,
-                   window=window, mutate=mutate or "")
     sources = _sources(action, max_degree)
 
     def body(ev, check):
@@ -670,7 +638,9 @@ def verify_serre(action, kind: str, i: int, j: int, window: int = 2,
                 tgt, total = failing
                 check.fail(src, tgt, ["character group"], total)
 
-    return _run(action, rel, scope, strategy, seed, trials, body)
+    return _run(action, RelationId("serre", kind, (i, j)), body, strategy,
+                seed, trials, max_degree=max_degree, window=window,
+                mutate=mutate or "")
 
 
 def _serre_sweep(check, src, tables, coeff, window):
@@ -703,11 +673,9 @@ def verify_gl_zero_modes(action, max_degree: int = 3,
     sources = _sources(action, max_degree)
     reports = []
 
-    def run_family(name, nodes, body):
-        rel = RelationId(name, "", nodes)
-        scope = _scope(action, strategy, seed, trials, max_degree=max_degree,
-                       window=0)
-        reports.append(_run(action, rel, scope, strategy, seed, trials, body))
+    def run_family(name, body):
+        reports.append(_run(action, RelationId(name), body, strategy, seed,
+                            trials, max_degree=max_degree, window=0))
 
     # Cartan family: diagonal operators commute and invert
     def cartan_body(ev, check):
@@ -718,7 +686,7 @@ def verify_gl_zero_modes(action, max_degree: int = 3,
                     b = ev.lift(action.t_cartan_eigenvalue(src, tj))
                     check.entry(src, src, [ti, tj], a * b - b * a)
 
-    run_family("gl_cartan", (), cartan_body)
+    run_family("gl_cartan", cartan_body)
 
     # t x t^{-1} twists: t_i X_j t_i^{-1} = X_j v^{+-(delta_{ij}-delta_{i,j+1})}
     def twist_body(ev, check):
@@ -737,7 +705,7 @@ def verify_gl_zero_modes(action, max_degree: int = 3,
                             check.entry(src, tr.target, [ti, jn, kind],
                                         lhs - rhs)
 
-    run_family("gl_twist", (), twist_body)
+    run_family("gl_twist", twist_body)
 
     # [e_i, f_j] = delta_ij (k_i - k_i^{-1}) / (v^2-1), k_i = t_i t_{i+1}^{-1}
     def comm_body(ev, check):
@@ -757,7 +725,7 @@ def verify_gl_zero_modes(action, max_degree: int = 3,
                                     - (kk - 1 / kk) / (v * v - 1))
                     check.acc(src, acc, [ki, li])
 
-    run_family("gl_commutator", (), comm_body)
+    run_family("gl_commutator", comm_body)
 
     # distant-node commutation and the balanced cubic Serre identity
     def distant_body(ev, check):
@@ -772,7 +740,7 @@ def verify_gl_zero_modes(action, max_degree: int = 3,
                         check.acc(src, _twisted({}, t_lk, t_kl, 0, 0, None,
                                                 ev.zero), [kind, ki, li])
 
-    run_family("gl_distant", (), distant_body)
+    run_family("gl_distant", distant_body)
 
     def serre_body(ev, check):
         v = ev.v
@@ -787,7 +755,7 @@ def verify_gl_zero_modes(action, max_degree: int = 3,
                         check.acc(src, _serre({}, tables, 0, 0, 0, coeff,
                                               ev.zero), [kind, ii, jj])
 
-    run_family("gl_serre", (), serre_body)
+    run_family("gl_serre", serre_body)
 
     # zero modes match the direct t,v-variable coefficient expressions
     def feigin_body(ev, check):
@@ -800,7 +768,7 @@ def verify_gl_zero_modes(action, max_degree: int = 3,
                                     ev.lift(tr.base)
                                     - ev.lift(closed(src, node, tr.column)))
 
-    run_family("gl_closed_form", (), feigin_body)
+    run_family("gl_closed_form", feigin_body)
 
     return reports
 
@@ -808,85 +776,61 @@ def verify_gl_zero_modes(action, max_degree: int = 3,
 # -- suites --------------------------------------------------------------------
 
 
+def _module_suite(action, max_degree, window, strategy, seed, trials):
+    """Every relation family on the action's nodes.  The affine module reads
+    the loop relations cyclically on nodes 1..n, and the pair {1, n} gets
+    the boundary families with the shifted node-n series instead."""
+    n = action.n
+    common = dict(max_degree=max_degree, strategy=strategy, seed=seed,
+                  trials=trials)
+    windowed = dict(common, window=window)
+    # what differs by module, in the report order that the digests pin
+    if action.affine:
+        nodes = range(1, n + 1)
+        skip = {(1, n), (n, 1)}
+        psi_x_ls = {k: list(nodes) for k in nodes}
+        serre_ends = {i: ((i % n) + 1, ((i - 2) % n) + 1) for i in nodes}
+        boundary = ((verify_xx_pair, n, 1, dict(windowed, boundary=True)),
+                    (verify_psi_x, 1, n, dict(common, boundary="psi_hat")),
+                    (verify_psi_x, n, 1, dict(common, boundary="x_hat")))
+    else:
+        nodes = range(1, n)
+        skip = set()
+        psi_x_ls = {k: [l for l in nodes if l != k] + [k] for k in nodes}
+        serre_ends = {i: (i - 1, i + 1) for i in nodes}
+        boundary = ()
+    pairs = [(k, l) for k in nodes for l in nodes]
+    reports = [verify_psi_psi(action, k, l, **common) for k, l in pairs]
+    reports += [verify_psi_x(action, k, l, kind, **common)
+                for kind in ("e", "f") for k in nodes for l in psi_x_ls[k]
+                if (k, l) not in skip]
+    reports += [verify_commutator(action, k, l, **windowed) for k, l in pairs]
+    for kind in ("e", "f"):
+        reports += [verify_xx_same(action, kind, k, **windowed) for k in nodes]
+        reports += [verify_xx_pair(action, kind, k, l, **windowed)
+                    for k, l in pairs if k != l and (k, l) not in skip]
+        reports += [verify_serre(action, kind, i, j, **windowed)
+                    for i in nodes for j in serre_ends[i]
+                    if j in nodes and j != i]
+        reports += [family(action, kind=kind, k=k, l=l, **kw)
+                    for family, k, l, kw in boundary]
+    return reports
+
+
 def loop_suite(n: int, max_degree: int = 3, window: int = 2,
                strategy: str = SYMBOLIC, seed: int = 0,
                trials: int = 5) -> list:
     """All relation families of the loop algebra on the finite module."""
-    action = FiniteAction(n)
-    common = dict(max_degree=max_degree, strategy=strategy, seed=seed,
-                  trials=trials)
-    windowed = dict(common, window=window)
-    reports = []
-    nodes = _nodes(action)
-    for k in nodes:
-        for l in nodes:
-            reports.append(verify_psi_psi(action, k, l, **common))
-    for kind in ("e", "f"):
-        for k in nodes:
-            for l in nodes:
-                if k != l:
-                    reports.append(verify_psi_x(action, k, l, kind, **common))
-            reports.append(verify_psi_x(action, k, k, kind, **common))
-    for k in nodes:
-        for l in nodes:
-            reports.append(verify_commutator(action, k, l, **windowed))
-    for kind in ("e", "f"):
-        for k in nodes:
-            reports.append(verify_xx_same(action, kind, k, **windowed))
-        for k in nodes:
-            for l in nodes:
-                if k != l:
-                    reports.append(
-                        verify_xx_pair(action, kind, k, l, **windowed))
-        for i in nodes:
-            for j in (i - 1, i + 1):
-                if j in nodes:
-                    reports.append(verify_serre(action, kind, i, j, **windowed))
-    return reports
+    return _module_suite(FiniteAction(n), max_degree, window, strategy, seed,
+                         trials)
 
 
 def toroidal_suite(n: int = 3, max_degree: int = 2, window: int = 2,
                    strategy: str = SYMBOLIC, seed: int = 0,
                    trials: int = 5) -> list:
     """Relations (1)-(6) cyclically plus the boundary modifications."""
-    action = ToroidalAction(n)
-    common = dict(max_degree=max_degree, strategy=strategy, seed=seed,
-                  trials=trials)
-    windowed = dict(common, window=window)
-    reports = []
-    nodes = _nodes(action)
-    for k in nodes:
-        for l in nodes:
-            reports.append(verify_psi_psi(action, k, l, **common))
-    for kind in ("e", "f"):
-        for k in nodes:
-            for l in nodes:
-                if {k, l} == {1, n} and k != l:
-                    continue  # replaced by the tor families below
-                reports.append(verify_psi_x(action, k, l, kind, **common))
-    for k in nodes:
-        for l in nodes:
-            reports.append(verify_commutator(action, k, l, **windowed))
-    for kind in ("e", "f"):
-        for k in nodes:
-            reports.append(verify_xx_same(action, kind, k, **windowed))
-        for k in nodes:
-            for l in nodes:
-                if k != l and {k, l} != {1, n}:
-                    reports.append(
-                        verify_xx_pair(action, kind, k, l, **windowed))
-        for i in nodes:
-            for j in ((i % n) + 1, ((i - 2) % n) + 1):
-                if i != j:
-                    reports.append(verify_serre(action, kind, i, j, **windowed))
-        # boundary families with the shifted node-n series
-        reports.append(
-            verify_xx_pair(action, kind, n, 1, boundary=True, **windowed))
-        reports.append(
-            verify_psi_x(action, 1, n, kind, boundary="psi_hat", **common))
-        reports.append(
-            verify_psi_x(action, n, 1, kind, boundary="x_hat", **common))
-    return reports
+    return _module_suite(ToroidalAction(n), max_degree, window, strategy,
+                         seed, trials)
 
 
 def negative_controls(n: int = 3, max_degree: int = 2, window: int = 1,

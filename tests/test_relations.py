@@ -224,8 +224,7 @@ def test_resample_exhaustion_is_an_error_report(fm2):
         calls.append(ev.points)
         raise _Resample(0)
 
-    rep = _run(fm2, RelationId("always_resamples"), {"n": 2}, "random",
-               0, 3, body)
+    rep = _run(fm2, RelationId("always_resamples"), body, "random", 0, 3)
     assert rep.status == "error" and not rep.passed
     assert rep.entries_checked == 0 and rep.counterexample is None
     assert rep.to_json()["error"]
