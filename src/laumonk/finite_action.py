@@ -165,12 +165,14 @@ def psi_pole_mode(action, p, i, m, sign) -> FactoredExpr:
     """Coefficient of z^{-m} in the +/- expansion of the action's psi
     eigenvalue; 0 on sign mismatch.  With the partial fractions
     psi = L + sum_b c_b (1 / (1 - b/z) - 1), psi^+_0 = L,
-    psi^-_0 = L - sum_b c_b and psi^+_m = -psi^-_m = sum_b c_b b^m."""
+    psi^-_0 = L - sum_b c_b and psi^+_m = -psi^-_m = sum_b c_b b^m.
+    The eigenvalue is read first, so a bad node raises on either sign."""
     if sign not in ("+", "-"):
         raise ActionError("sign must be '+' or '-'")
+    psi = action.psi_eigenvalue(p, i)
     if (sign == "+" and m < 0) or (sign == "-" and m > 0):
         return action.ctx.zero
-    limit, poles = z_partial_fractions(action.psi_eigenvalue(p, i))
+    limit, poles = z_partial_fractions(psi)
     if m == 0:
         return limit if sign == "+" else limit - sum(
             (c for _, c in poles), action.ctx.zero)

@@ -191,6 +191,18 @@ def test_transitions_reject_unknown_kinds(action, src):
     assert {key[0] for key in action._transitions_cache} == {"e"}
 
 
+@pytest.mark.parametrize("action, src, node", [
+    (FiniteAction(3), FinitePattern.zero(3), 99),
+    (ToroidalAction(3), AffinePattern.empty(3), 0),
+], ids=["finite", "affine"])
+def test_psi_mode_rejects_a_bad_node_on_either_sign(action, src, node):
+    # a sign mismatch is the zero mode only at a node of the module
+    for m, sign in ((1, "+"), (-1, "+"), (-2, "+"), (1, "-"), (-1, "-")):
+        with pytest.raises(ActionError):
+            action.psi_mode(src, node, m, sign)
+    assert action.psi_mode(src, 1, -1, "+").is_zero
+
+
 def _psi_eigenvalues(kind, n, max_total=3):
     """Every psi eigenvalue of the finite (n) or affine (n) module on the
     patterns of total degree <= max_total, with psi_hat on the affine one,
