@@ -85,7 +85,7 @@ class VerificationReport:
 # -- the module an action acts on ---------------------------------------------
 #
 # The engine reads a FiniteAction or a ToroidalAction directly; the two differ
-# here only in their source enumeration, and the suite body in its node range.
+# here only in their source enumeration, and `_module_suite` picks their nodes.
 
 
 def _cartan(action, k: int, l: int) -> int:
