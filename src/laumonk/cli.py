@@ -22,6 +22,7 @@ import json
 import sys
 
 from . import relations as rel
+from .exact import ExactError
 from .finite_action import FiniteAction
 from .patterns import ceil_div, enumerate_affine, enumerate_affine_total, \
     enumerate_finite
@@ -82,7 +83,7 @@ def oracle_suite(n: int, max_degree: int = 2) -> list:
     oracle = TangentOracle(n)
     action = ToroidalAction(n)
     ctx = action.ctx
-    sources = rel._sources(action, max_degree)
+    sources = action.sources(max_degree)
 
     def body(ev, check):
         for p in sources:
@@ -155,7 +156,7 @@ def cmd_verify(args) -> int:
         # operators to the shifted node-n zero modes (constant across moves)
         action = ToroidalAction(args.n)
         ratios = {"e": set(), "f": set(), "k": set()}
-        for p in rel._sources(action, min(args.max_degree, 2)):
+        for p in action.sources(min(args.max_degree, 2)):
             for key, vals in action.chevalley_node0_ratios(p).items():
                 ratios[key].update(vals)
         payload["chevalley_node0_ratios"] = {
@@ -340,7 +341,7 @@ def main(argv=None) -> int:
         if args.command == "verify" and args.max_degree is None:
             args.max_degree = 3 if args.suite in ("loop", "glzero") else 2
         return args.fn(args)
-    except (ValueError, OSError) as err:
+    except (ValueError, OSError, ExactError) as err:
         print("error: %s" % err, file=sys.stderr)
         return 2
 

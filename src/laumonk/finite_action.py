@@ -9,17 +9,20 @@ s_{n,k} = t_k^2.
 
 The coefficient shapes (a monomial times (1 - monomial) products) are built
 once here, by module-level functions parameterized by the weight function,
-the column lower bound and the prefactor twist; the affine module and the
-renormalized affine basis call the same functions.
+the column lower bound and the prefactor twist; the renormalized affine
+basis calls the same functions, and the affine module binds the operator
+methods of `FiniteAction` itself.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from math import prod
 
 from .exact import FactoredExpr, LaurentContext, z_partial_fractions
-from .patterns import FinitePattern, neighbors, s_weight
+from .patterns import FinitePattern, enumerate_finite, neighbors, \
+    s_weight
 
 
 class ActionError(ValueError):
@@ -95,28 +98,6 @@ def move_beta(wij, kind, i) -> FactoredExpr:
     return wij * wij.ctx.v ** (i if kind == "f" else i + 2)
 
 
-def move_transitions(action, w, kind, node, src):
-    """All single-box e/f moves of src at the node with base coefficient and
-    spectral factor; the bases come from the action's own f_base_coeff and
-    e_base_coeff, and the list is cached on the action."""
-    key = (kind, node, src)
-    hit = action._transitions_cache.get(key)
-    if hit is not None:
-        return hit
-    if kind == "f":
-        base, direction = action.f_base_coeff, 1
-    elif kind == "e":
-        base, direction = action.e_base_coeff, -1
-    else:
-        raise ActionError("transitions are for kinds e/f")
-    out = action._transitions_cache[key] = [
-        Transition(j, tgt, base(src, node, j),
-                   move_beta(w(src, node, j), kind, node))
-        for j, tgt in neighbors(src, node, direction)
-    ]
-    return out
-
-
 def psi_prefactor(ctx, p, i, twist) -> FactoredExpr:
     """twist * t_{i+1}^{-1} t_i v^{d_{i+1} - 2 d_i + d_{i-1} - 1}; the twist
     is u^2 on the affine module and 1 on the finite one."""
@@ -147,41 +128,14 @@ def b_quotient(ctx, w, p, m, i, scale, lo) -> FactoredExpr:
                   [zs * w(p, m, j) for j in range(lo + 1, m + 1)])
 
 
-def psi_from_quotients(action, p, i, m, twist) -> FactoredExpr:
-    """psi eigenvalue at node i assembled from the action's four row-m
-    quotient series."""
-    v = action.ctx.v
-    b = action.b_quotient_eigenvalue
-    return (
-        psi_prefactor(action.ctx, p, i, twist)
-        / b(p, m, i, v ** (-i - 2))
-        / b(p, m, i, v ** -i)
-        * b(p, m, i - 1, v ** -i)
-        * b(p, m, i + 1, v ** (-i - 2))
-    )
-
-
-def psi_pole_mode(action, p, i, m, sign) -> FactoredExpr:
-    """Coefficient of z^{-m} in the +/- expansion of the action's psi
-    eigenvalue; 0 on sign mismatch.  With the partial fractions
-    psi = L + sum_b c_b (1 / (1 - b/z) - 1), psi^+_0 = L,
-    psi^-_0 = L - sum_b c_b and psi^+_m = -psi^-_m = sum_b c_b b^m.
-    The eigenvalue is read first, so a bad node raises on either sign."""
-    if sign not in ("+", "-"):
-        raise ActionError("sign must be '+' or '-'")
-    psi = action.psi_eigenvalue(p, i)
-    if (sign == "+" and m < 0) or (sign == "-" and m > 0):
-        return action.ctx.zero
-    limit, poles = z_partial_fractions(psi)
-    if m == 0:
-        return limit if sign == "+" else limit - sum(
-            (c for _, c in poles), action.ctx.zero)
-    mode = sum((c * b ** m for b, c in poles), action.ctx.zero)
-    return mode if sign == "+" else -mode
-
-
 class FiniteAction:
-    """Operator calculus for a fixed rank n >= 2."""
+    """Operator calculus for a fixed rank n >= 2.
+
+    The operator methods from `f_base_coeff` to `psi_via_quotients` serve
+    both modules: `ToroidalAction` binds these same functions.  They read
+    what differs by module only through `weight`, `low`, `nodes` and
+    `twist`.
+    """
 
     affine = False
 
@@ -190,58 +144,122 @@ class FiniteAction:
             raise ActionError("need n >= 2")
         self.n = n
         self.ctx = LaurentContext(n)
+        self.nodes = range(1, n)
+        self.twist = self.ctx.one
         self._transitions_cache = {}
         self._psi_cache = {}
 
-    # -- weights ---------------------------------------------------------
+    # -- what differs by module -------------------------------------------
 
-    def s(self, p: FinitePattern, i: int, j: int) -> FactoredExpr:
+    def weight(self, p: FinitePattern, i: int, j: int) -> FactoredExpr:
         return s_weight(self.ctx, p, i, j)
 
-    # -- matrix coefficients ----------------------------------------------
+    def low(self, p: FinitePattern, rows, bound: int) -> int:
+        """Column lower bound of a product over the given rows: 0, so the
+        products run over every column; the rows must lie in 0..n."""
+        if min(rows) < 0 or max(rows) > self.n:
+            raise ActionError("rows must lie in 0..n")
+        return 0
 
-    def f_base_coeff(self, src: FinitePattern, i: int, j: int) -> FactoredExpr:
+    def sources(self, max_degree: int) -> list:
+        """All patterns of total degree at most max_degree, by total degree
+        and then by degree vector."""
+        degrees = sorted((sum(deg), deg) for deg in itertools.product(
+            range(max_degree + 1), repeat=self.n - 1))
+        return [p for total, deg in degrees if total <= max_degree
+                for p in enumerate_finite(self.n, deg)]
+
+    # -- matrix coefficients (both modules) --------------------------------
+
+    def f_base_coeff(self, src, i: int, j: int) -> FactoredExpr:
         """r=0 coefficient of the f-transition raising d_{ij}."""
-        return move_coefficient(self.ctx, self.s, "f", src, i, j, 0)
+        return move_coefficient(self.ctx, self.weight, "f", src, i, j,
+                                self.low(src, (i - 1, i), j - 1))
 
-    def e_base_coeff(self, src: FinitePattern, i: int, j: int) -> FactoredExpr:
+    def e_base_coeff(self, src, i: int, j: int) -> FactoredExpr:
         """r=0 coefficient of the e-transition lowering d_{ij}."""
-        return move_coefficient(self.ctx, self.s, "e", src, i, j, 0)
+        return move_coefficient(self.ctx, self.weight, "e", src, i, j,
+                                self.low(src, (i, i + 1), j - 1))
 
-    def transitions(self, kind: str, node: int, src: FinitePattern):
-        """All single-box transitions of e/f at the node, with base and beta."""
-        return move_transitions(self, self.s, kind, node, src)
+    def transitions(self, kind: str, node: int, src):
+        """All single-box e/f moves of src at a node of the module, with base
+        coefficient and spectral factor; cached per (kind, node, src)."""
+        key = (kind, node, src)
+        hit = self._transitions_cache.get(key)
+        if hit is not None:
+            return hit
+        if node not in self.nodes:
+            raise ActionError("node out of range")
+        if kind == "f":
+            base, direction = self.f_base_coeff, 1
+        elif kind == "e":
+            base, direction = self.e_base_coeff, -1
+        else:
+            raise ActionError("transitions are for kinds e/f")
+        out = self._transitions_cache[key] = [
+            Transition(j, tgt, base(src, node, j),
+                       move_beta(self.weight(src, node, j), kind, node))
+            for j, tgt in neighbors(src, node, direction)
+        ]
+        return out
 
-    # -- diagonal series ---------------------------------------------------
+    # -- diagonal series (both modules) ------------------------------------
 
-    def psi_eigenvalue(self, p: FinitePattern, i: int) -> FactoredExpr:
+    def psi_eigenvalue(self, p, i: int) -> FactoredExpr:
         """Diagonal eigenvalue of the psi-series at node i, rational in z."""
-        if not (1 <= i <= self.n - 1):
+        if i not in self.nodes:
             raise ActionError("node out of range")
         key = (p, i)
         hit = self._psi_cache.get(key)
         if hit is None:
             hit = self._psi_cache[key] = psi_value(
-                self.ctx, self.s, p, i, self.ctx.one, 0, self.ctx.one)
+                self.ctx, self.weight, p, i, self.ctx.one,
+                self.low(p, (i - 1, i, i + 1), i - 1), self.twist)
         return hit
 
-    def psi_mode(self, p: FinitePattern, i: int, m: int, sign: str) -> FactoredExpr:
-        """Coefficient of z^{-m} in the +/- expansion; 0 on sign mismatch."""
-        return psi_pole_mode(self, p, i, m, sign)
+    def psi_mode(self, p, i: int, m: int, sign: str) -> FactoredExpr:
+        """Coefficient of z^{-m} in the +/- expansion of the psi eigenvalue;
+        0 on sign mismatch.  With the partial fractions
+        psi = L + sum_b c_b (1 / (1 - b/z) - 1), psi^+_0 = L,
+        psi^-_0 = L - sum_b c_b and psi^+_m = -psi^-_m = sum_b c_b b^m.
+        The eigenvalue is read first, so a bad node raises on either sign."""
+        if sign not in ("+", "-"):
+            raise ActionError("sign must be '+' or '-'")
+        psi = self.psi_eigenvalue(p, i)
+        if (sign == "+" and m < 0) or (sign == "-" and m > 0):
+            return self.ctx.zero
+        limit, poles = z_partial_fractions(psi)
+        if m == 0:
+            return limit if sign == "+" else limit - sum(
+                (c for _, c in poles), self.ctx.zero)
+        mode = sum((c * b ** m for b, c in poles), self.ctx.zero)
+        return mode if sign == "+" else -mode
 
-    def b_quotient_eigenvalue(
-        self, p: FinitePattern, m: int, i: int, scale: FactoredExpr
-    ) -> FactoredExpr:
-        """Eigenvalue of the quotient series b_{mi} at argument z*scale."""
-        if not (0 <= m <= i <= self.n):
-            raise ActionError("need 0 <= m <= i <= n")
-        return b_quotient(self.ctx, self.s, p, m, i, scale, 0)
+    def b_quotient_eigenvalue(self, p, m: int, i: int,
+                              scale: FactoredExpr) -> FactoredExpr:
+        """Eigenvalue of the quotient series b_{mi} (rows m <= i) at
+        argument z*scale."""
+        if m > i:
+            raise ActionError("need m <= i")
+        return b_quotient(self.ctx, self.weight, p, m, i, scale,
+                          self.low(p, (m, i), m))
 
-    def psi_via_quotients(self, p: FinitePattern, i: int, m: int) -> FactoredExpr:
-        """psi eigenvalue computed through the b_{m*} quotient route (m < i)."""
-        if not (0 <= m < i):
-            raise ActionError("need 0 <= m < i")
-        return psi_from_quotients(self, p, i, m, self.ctx.one)
+    def psi_via_quotients(self, p, i: int, m: int) -> FactoredExpr:
+        """psi eigenvalue at node i assembled from the four row-m quotient
+        series (m < i)."""
+        if m >= i:
+            raise ActionError("need m < i")
+        v = self.ctx.v
+        b = self.b_quotient_eigenvalue
+        return (
+            psi_prefactor(self.ctx, p, i, self.twist)
+            / b(p, m, i, v ** (-i - 2))
+            / b(p, m, i, v ** -i)
+            * b(p, m, i - 1, v ** -i)
+            * b(p, m, i + 1, v ** (-i - 2))
+        )
+
+    # -- the finite module only ----------------------------------------------
 
     def psi_via_a_series(self, p: FinitePattern, i: int) -> FactoredExpr:
         """psi eigenvalue from the a-series product (the m=0 quotient route)."""
@@ -262,21 +280,21 @@ class FiniteAction:
         )
         total = ctx.zero
         for j in range(1, i + 1):
-            sij = self.s(p, i, j)
+            sij = self.weight(p, i, j)
             first = ctx.one
             second = ctx.one
             for k in range(1, i + 1):
                 if k == j:
                     continue
-                sik = self.s(p, i, k)
+                sik = self.weight(p, i, k)
                 first = first / (1 - sij / sik) / (1 - v ** 2 * sik / sij)
                 second = second / (1 - sik / sij) / (1 - v ** 2 * sij / sik)
             for k in range(1, i):
-                sk = self.s(p, i - 1, k)
+                sk = self.weight(p, i - 1, k)
                 first = first * (1 - sij / sk)
                 second = second * (1 - v ** 2 * sij / sk)
             for k in range(1, i + 2):
-                sk = self.s(p, i + 1, k)
+                sk = self.weight(p, i + 1, k)
                 first = first * (1 - v ** 2 * sk / sij)
                 second = second * (1 - sk / sij)
             term = first * (sij * v ** i) ** a - v ** 2 * second * (

@@ -21,7 +21,6 @@ with a counterexample payload when a residual survives, and with status
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
 import random
 from dataclasses import dataclass
@@ -29,7 +28,6 @@ from fractions import Fraction
 
 from .exact import EvalPoint, EvaluationError, FactoredExpr
 from .finite_action import FiniteAction
-from .patterns import enumerate_affine_total, enumerate_finite
 from .toroidal_action import ToroidalAction
 
 SYMBOLIC = "symbolic"
@@ -84,8 +82,8 @@ class VerificationReport:
 
 # -- the module an action acts on ---------------------------------------------
 #
-# The engine reads a FiniteAction or a ToroidalAction directly; the two differ
-# here only in their source enumeration, and `_module_suite` picks their nodes.
+# The engine reads a FiniteAction or a ToroidalAction directly, through the
+# members they share: `sources`, `nodes` and the operator methods.
 
 
 def _cartan(action, k: int, l: int) -> int:
@@ -94,18 +92,6 @@ def _cartan(action, k: int, l: int) -> int:
     if k == l:
         return 2
     return -1 if (k - l) % action.n in (1, action.n - 1) else 0
-
-
-def _sources(action, max_degree: int):
-    """All patterns of total degree at most max_degree, by total degree;
-    finite patterns then by degree vector."""
-    if action.affine:
-        return [p for total in range(max_degree + 1)
-                for p in enumerate_affine_total(action.n, total)]
-    degrees = sorted((sum(deg), deg) for deg in itertools.product(
-        range(max_degree + 1), repeat=action.n - 1))
-    return [p for total, deg in degrees if total <= max_degree
-            for p in enumerate_finite(action.n, deg)]
 
 
 # -- evaluation strategies ------------------------------------------------------
@@ -484,7 +470,7 @@ def _xx(action, rel, leg_k, leg_l, cexp, window, max_degree, strategy, seed,
     mode pair (a, b).  `diagonal(ev)`, when given, returns the term
     d(src, m) that is subtracted on the source at m = a + b.  When the legs
     agree one path table serves both orders."""
-    sources = _sources(action, max_degree)
+    sources = action.sources(max_degree)
 
     def body(ev, check):
         c = None if cexp is None else ev.v ** cexp
@@ -542,7 +528,7 @@ def verify_psi_x(action, k: int, l: int, kind: str, max_degree: int = 3,
     """
     family = {None: "psi_x", "psi_hat": "tor_psix_boundary_a",
               "x_hat": "tor_psix_boundary_b"}[boundary]
-    sources = _sources(action, max_degree)
+    sources = action.sources(max_degree)
     a_kl = -1 if boundary else _cartan(action, k, l)
 
     def body(ev, check):
@@ -577,7 +563,7 @@ def verify_psi_psi(action, k: int, l: int, max_degree: int = 3,
     """psi-series commute: all psi operators are diagonal in one basis, so
     the products in either order agree; the check asserts the diagonal
     eigenvalue products and that no off-diagonal entries exist anywhere."""
-    sources = _sources(action, max_degree)
+    sources = action.sources(max_degree)
 
     def body(ev, check):
         for src in sources:
@@ -604,7 +590,7 @@ def verify_serre(action, kind: str, i: int, j: int, window: int = 2,
     sweep runs to exhibit a concrete (a, b, c) counterexample; when the
     sweep finds none, the surviving group itself is the counterexample.
     """
-    sources = _sources(action, max_degree)
+    sources = action.sources(max_degree)
 
     def body(ev, check):
         v = ev.v
@@ -668,109 +654,93 @@ def verify_gl_zero_modes(action, max_degree: int = 3,
                          strategy: str = SYMBOLIC, seed: int = 0,
                          trials: int = 5) -> list:
     """The five zero-mode relation families, plus the closed-form
-    coefficient comparison for the raising/lowering generators."""
+    coefficient comparison for the raising/lowering generators; each family
+    is a body run on every source."""
     n = action.n
-    sources = _sources(action, max_degree)
-    reports = []
-
-    def run_family(name, body):
-        reports.append(_run(action, RelationId(name), body, strategy, seed,
-                            trials, max_degree=max_degree, window=0))
+    nodes = action.nodes
+    cartan = action.t_cartan_eigenvalue
 
     # Cartan family: diagonal operators commute and invert
-    def cartan_body(ev, check):
-        for src in sources:
-            for ti in range(1, n + 1):
-                for tj in range(1, n + 1):
-                    a = ev.lift(action.t_cartan_eigenvalue(src, ti))
-                    b = ev.lift(action.t_cartan_eigenvalue(src, tj))
-                    check.entry(src, src, [ti, tj], a * b - b * a)
-
-    run_family("gl_cartan", cartan_body)
+    def cartan_body(ev, check, src):
+        for ti in range(1, n + 1):
+            for tj in range(1, n + 1):
+                a = ev.lift(cartan(src, ti))
+                b = ev.lift(cartan(src, tj))
+                check.entry(src, src, [ti, tj], a * b - b * a)
 
     # t x t^{-1} twists: t_i X_j t_i^{-1} = X_j v^{+-(delta_{ij}-delta_{i,j+1})}
-    def twist_body(ev, check):
-        v = ev.v
-        for src in sources:
-            for jn in range(1, n):
-                for kind, sgn in (("e", 1), ("f", -1)):
-                    for tr in action.transitions(kind, jn, src):
-                        for ti in range(1, n + 1):
-                            tw = sgn * ((ti == jn) - (ti == jn + 1))
-                            lhs = (ev.lift(action.t_cartan_eigenvalue(tr.target, ti))
-                                   * ev.lift(tr.base))
-                            rhs = (ev.lift(tr.base)
-                                   * ev.lift(action.t_cartan_eigenvalue(src, ti))
-                                   * v ** tw)
-                            check.entry(src, tr.target, [ti, jn, kind],
-                                        lhs - rhs)
+    def twist_body(ev, check, src):
+        for jn in nodes:
+            for kind, sgn in (("e", 1), ("f", -1)):
+                for tr in action.transitions(kind, jn, src):
+                    for ti in range(1, n + 1):
+                        tw = sgn * ((ti == jn) - (ti == jn + 1))
+                        lhs = ev.lift(cartan(tr.target, ti)) * ev.lift(tr.base)
+                        rhs = (ev.lift(tr.base) * ev.lift(cartan(src, ti))
+                               * ev.v ** tw)
+                        check.entry(src, tr.target, [ti, jn, kind], lhs - rhs)
 
-    run_family("gl_twist", twist_body)
+    # [X_k, X_l] = 0 at mode (0, 0) for each (leg_k, leg_l, modes), except
+    # [e_k, f_k] = (k_k - k_k^{-1}) / (v^2-1) with k_k = t_k t_{k+1}^{-1}
+    def bracket_body(pairs):
+        def body(ev, check, src):
+            for leg_k, leg_l, modes in pairs:
+                acc = _twisted({}, _PathTable(action, ev, [leg_l, leg_k], src),
+                               _PathTable(action, ev, [leg_k, leg_l], src),
+                               0, 0, None, ev.zero)
+                k = leg_k[1]
+                if leg_l[1] == k:
+                    kk = (ev.lift(cartan(src, k))
+                          / ev.lift(cartan(src, k + 1)))
+                    acc[src] = (acc.get(src, ev.zero)
+                                - (kk - 1 / kk) / (ev.v * ev.v - 1))
+                check.acc(src, acc, modes)
+        return body
 
-    # [e_i, f_j] = delta_ij (k_i - k_i^{-1}) / (v^2-1), k_i = t_i t_{i+1}^{-1}
-    def comm_body(ev, check):
-        v = ev.v
-        for src in sources:
-            for ki in range(1, n):
-                for li in range(1, n):
-                    t_ef = _PathTable(action, ev, [("f", li, None),
-                                                   ("e", ki, None)], src)
-                    t_fe = _PathTable(action, ev, [("e", ki, None),
-                                                   ("f", li, None)], src)
-                    acc = _twisted({}, t_ef, t_fe, 0, 0, None, ev.zero)
-                    if ki == li:
-                        kk = (ev.lift(action.t_cartan_eigenvalue(src, ki))
-                              / ev.lift(action.t_cartan_eigenvalue(src, ki + 1)))
-                        acc[src] = (acc.get(src, ev.zero)
-                                    - (kk - 1 / kk) / (v * v - 1))
-                    check.acc(src, acc, [ki, li])
-
-    run_family("gl_commutator", comm_body)
-
-    # distant-node commutation and the balanced cubic Serre identity
-    def distant_body(ev, check):
-        for src in sources:
-            for kind in ("e", "f"):
-                for ki in range(1, n):
-                    for li in range(ki + 2, n):
-                        t_lk = _PathTable(action, ev, [(kind, li, None),
-                                                       (kind, ki, None)], src)
-                        t_kl = _PathTable(action, ev, [(kind, ki, None),
-                                                       (kind, li, None)], src)
-                        check.acc(src, _twisted({}, t_lk, t_kl, 0, 0, None,
-                                                ev.zero), [kind, ki, li])
-
-    run_family("gl_distant", distant_body)
-
-    def serre_body(ev, check):
-        v = ev.v
-        coeff = v + 1 / v
-        for src in sources:
-            for kind in ("e", "f"):
-                for ii in range(1, n):
-                    for jj in (ii - 1, ii + 1):
-                        if not (1 <= jj <= n - 1):
-                            continue
+    def serre_body(ev, check, src):
+        coeff = ev.v + 1 / ev.v
+        for kind in ("e", "f"):
+            for ii in nodes:
+                for jj in (ii - 1, ii + 1):
+                    if jj in nodes:
                         tables = _serre_tables(action, ev, kind, ii, jj, src)
                         check.acc(src, _serre({}, tables, 0, 0, 0, coeff,
                                               ev.zero), [kind, ii, jj])
 
-    run_family("gl_serre", serre_body)
-
     # zero modes match the direct t,v-variable coefficient expressions
-    def feigin_body(ev, check):
-        for src in sources:
-            for node in range(1, n):
-                for kind, closed in (("f", action.feigin_f_coeff),
-                                     ("e", action.feigin_e_coeff)):
-                    for tr in action.transitions(kind, node, src):
-                        check.entry(src, tr.target, [kind, node, tr.column],
-                                    ev.lift(tr.base)
-                                    - ev.lift(closed(src, node, tr.column)))
+    def closed_form_body(ev, check, src):
+        for node in nodes:
+            for kind, closed in (("f", action.feigin_f_coeff),
+                                 ("e", action.feigin_e_coeff)):
+                for tr in action.transitions(kind, node, src):
+                    check.entry(src, tr.target, [kind, node, tr.column],
+                                ev.lift(tr.base)
+                                - ev.lift(closed(src, node, tr.column)))
 
-    run_family("gl_closed_form", feigin_body)
+    families = (
+        ("gl_cartan", cartan_body),
+        ("gl_twist", twist_body),
+        ("gl_commutator", bracket_body([
+            (("e", k, None), ("f", l, None), [k, l])
+            for k in nodes for l in nodes])),
+        # distant-node commutation
+        ("gl_distant", bracket_body([
+            ((kind, k, None), (kind, l, None), [kind, k, l])
+            for kind in ("e", "f") for k in nodes for l in range(k + 2, n)])),
+        ("gl_serre", serre_body),
+        ("gl_closed_form", closed_form_body),
+    )
+    sources = action.sources(max_degree)
 
-    return reports
+    def each_source(body):
+        def run(ev, check):
+            for src in sources:
+                body(ev, check, src)
+        return run
+
+    return [_run(action, RelationId(name), each_source(body), strategy, seed,
+                 trials, max_degree=max_degree, window=0)
+            for name, body in families]
 
 
 # -- suites --------------------------------------------------------------------
@@ -785,8 +755,8 @@ def _module_suite(action, max_degree, window, strategy, seed, trials):
                   trials=trials)
     windowed = dict(common, window=window)
     # what differs by module, in the report order that the digests pin
+    nodes = action.nodes
     if action.affine:
-        nodes = range(1, n + 1)
         skip = {(1, n), (n, 1)}
         psi_x_ls = {k: list(nodes) for k in nodes}
         serre_ends = {i: ((i % n) + 1, ((i - 2) % n) + 1) for i in nodes}
@@ -794,7 +764,6 @@ def _module_suite(action, max_degree, window, strategy, seed, trials):
                     (verify_psi_x, 1, n, dict(common, boundary="psi_hat")),
                     (verify_psi_x, n, 1, dict(common, boundary="x_hat")))
     else:
-        nodes = range(1, n)
         skip = set()
         psi_x_ls = {k: [l for l in nodes if l != k] + [k] for k in nodes}
         serre_ends = {i: (i - 1, i + 1) for i in nodes}

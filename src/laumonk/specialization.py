@@ -226,8 +226,8 @@ class RenormalizedAction:
         if read is None:
             raise ActionError("invalid %s-move" % kind)
         shape, rows = ("e", (i, i + 1)) if kind == "f" else ("f", (i - 1, i))
-        lo = self.action._cut(read, rows, j - 1)
-        pij, num, den = column_ratios(self.action.p, shape, read, i, j, lo)
+        lo = self.action.low(read, rows, j - 1)
+        pij, num, den = column_ratios(self.action.weight, shape, read, i, j, lo)
         ctx = self.ctx
         if kind == "f":
             pref = -(pij * ctx.v ** (

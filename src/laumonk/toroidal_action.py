@@ -1,14 +1,15 @@
 """Toroidal operators on the affine module in the fixed-point basis.
 
-The coefficients come from the shared kernel in `finite_action`
-(`column_ratios`, `shaped` and the f/e, psi and b-quotient builders on top
-of them), called with the p-weights
-p_{ij} = t_{(j mod n)}^2 v^{-2 d_{ij}} u^{2 ceil(j/n)}, a u^2 twist on the
-psi prefactor, and a telescoped column range.  The products over columns
-are formally infinite and are DEFINED by their telescoped finite values:
-below the support of the involved rows the weights are row-independent and
-factor pairs cancel exactly.  Every product accepts an explicit cutoff so
-cutoff-independence is testable.
+The operator methods are `FiniteAction`'s own functions, bound into this
+class (no base class: each traced method resolves in its own class).  They
+read the module through four members: the p-weights
+p_{ij} = t_{(j mod n)}^2 v^{-2 d_{ij}} u^{2 ceil(j/n)} as `weight`, the
+telescoped column lower bound `low`, the node representatives 1..n as
+`nodes`, and the u^2 `twist` of the psi prefactor.  The products over
+columns are formally infinite and are DEFINED by their telescoped finite
+values: below the support of the involved rows the weights are
+row-independent and factor pairs cancel exactly, so any lower bound at or
+below `low` gives the same value.
 
 Node conventions: operators live at node representatives 1..n; the node-0
 family needed by the boundary relations is expressed through the shifted
@@ -21,10 +22,9 @@ by -n multiplies the mode-r coefficient by exactly (v^n u^2)^{-r}).
 from __future__ import annotations
 
 from .exact import FactoredExpr, LaurentContext, z_partial_fractions
-from .finite_action import ActionError, b_quotient, move_beta, \
-    move_coefficient, move_transitions, psi_from_quotients, psi_pole_mode, \
-    psi_value
-from .patterns import AffinePattern, ceil_div, p_weight
+from .finite_action import ActionError, FiniteAction, move_beta, psi_value
+from .patterns import AffinePattern, ceil_div, enumerate_affine_total, \
+    p_weight
 
 
 class ToroidalAction:
@@ -37,92 +37,51 @@ class ToroidalAction:
             raise ActionError("toroidal operators need n >= 3")
         self.n = n
         self.ctx = LaurentContext(n)
+        self.nodes = range(1, n + 1)
+        # forced by the commutator relation: an f-coefficient carries the
+        # line-bundle weight p_{ij} (u^2 on the principal column window)
+        # while e-coefficients carry only ratios
+        self.twist = self.ctx.u ** 2
         self.hat_scale = self.ctx.v ** n * self.ctx.u ** 2
         self._transitions_cache = {}
         self._psi_cache = {}
 
-    # -- weights and bookkeeping -------------------------------------------
+    # -- what differs by module ---------------------------------------------
 
-    def p(self, pat: AffinePattern, i: int, j: int) -> FactoredExpr:
+    def weight(self, pat: AffinePattern, i: int, j: int) -> FactoredExpr:
         return p_weight(self.ctx, pat, i, j)
 
-    def _cut(self, pat: AffinePattern, rows, bound: int, cutoff=None) -> int:
-        """Telescoping cutoff of a product over the given rows: by default
+    def low(self, pat: AffinePattern, rows, bound: int) -> int:
+        """Telescoped column lower bound of a product over the given rows:
         the largest admissible one, below the rows' support and below the
-        product bound (so no unpaired tail factor is dropped); an explicit
-        cutoff must sit at or below it."""
-        cut = min(pat.support_min_col(rows) - 1, bound)
-        if cutoff is None:
-            return cut
-        if cutoff > cut:
-            raise ActionError("cutoff must sit below the support")
-        return cutoff
+        product bound (so no unpaired tail factor is dropped)."""
+        return min(pat.support_min_col(rows) - 1, bound)
 
-    # -- matrix coefficients -------------------------------------------------
+    def sources(self, max_degree: int) -> list:
+        """All patterns of total degree at most max_degree, by total degree."""
+        return [p for total in range(max_degree + 1)
+                for p in enumerate_affine_total(self.n, total)]
 
-    def f_base_coeff(self, src: AffinePattern, i: int, j: int, cutoff=None):
-        """r=0 f-coefficient at node index i (any integer), column j <= i."""
-        lo = self._cut(src, (i - 1, i), j - 1, cutoff)
-        return move_coefficient(self.ctx, self.p, "f", src, i, j, lo)
+    # -- the operators, shared with the finite module --------------------------
 
-    def e_base_coeff(self, src: AffinePattern, i: int, j: int, cutoff=None):
-        """r=0 e-coefficient at node index i (any integer), column j <= i."""
-        lo = self._cut(src, (i, i + 1), j - 1, cutoff)
-        return move_coefficient(self.ctx, self.p, "e", src, i, j, lo)
-
-    def transitions(self, kind: str, node: int, src: AffinePattern):
-        """Single-box transitions at a node representative in 1..n."""
-        if not (1 <= node <= self.n):
-            raise ActionError("node representative out of range")
-        return move_transitions(self, self.p, kind, node, src)
-
-    # -- diagonal series -----------------------------------------------------
-
-    def psi_eigenvalue(self, p: AffinePattern, i: int, cutoff=None) -> FactoredExpr:
-        """Telescoped psi eigenvalue at node representative i in 1..n.
-
-        The u^2 twist is forced by the commutator relation: an f-coefficient
-        carries the line-bundle weight p_{ij} (u^2 on the principal column
-        window) while e-coefficients carry only ratios.
-        """
-        if not (1 <= i <= self.n):
-            raise ActionError("node representative out of range")
-        key = (p, i, cutoff)
-        hit = self._psi_cache.get(key)
-        if hit is None:
-            lo = self._cut(p, (i - 1, i, i + 1), i - 1, cutoff)
-            hit = self._psi_cache[key] = psi_value(
-                self.ctx, self.p, p, i, self.ctx.one, lo, self.ctx.u ** 2)
-        return hit
+    f_base_coeff = FiniteAction.f_base_coeff
+    e_base_coeff = FiniteAction.e_base_coeff
+    transitions = FiniteAction.transitions
+    psi_eigenvalue = FiniteAction.psi_eigenvalue
+    psi_mode = FiniteAction.psi_mode
+    b_quotient_eigenvalue = FiniteAction.b_quotient_eigenvalue
+    psi_via_quotients = FiniteAction.psi_via_quotients
 
     def psi_hat_eigenvalue(self, p: AffinePattern) -> FactoredExpr:
         """Node-0 series: psi_n evaluated at z v^n u^2, cached as node 0."""
-        key = (p, 0, None)
+        key = (p, 0)
         hit = self._psi_cache.get(key)
         if hit is None:
             n = self.n
-            lo = self._cut(p, (n - 1, n, n + 1), n - 1)
             hit = self._psi_cache[key] = psi_value(
-                self.ctx, self.p, p, n, self.hat_scale, lo, self.ctx.u ** 2)
+                self.ctx, self.weight, p, n, self.hat_scale,
+                self.low(p, (n - 1, n, n + 1), n - 1), self.twist)
         return hit
-
-    def psi_mode(self, p: AffinePattern, i: int, m: int, sign: str) -> FactoredExpr:
-        return psi_pole_mode(self, p, i, m, sign)
-
-    def b_quotient_eigenvalue(
-        self, p: AffinePattern, m: int, i: int, scale: FactoredExpr, cutoff=None
-    ) -> FactoredExpr:
-        """Telescoped eigenvalue of the quotient series for rows m <= i at z*scale."""
-        if m > i:
-            raise ActionError("need m <= i")
-        lo = self._cut(p, (m, i), m, cutoff)
-        return b_quotient(self.ctx, self.p, p, m, i, scale, lo)
-
-    def psi_via_quotients(self, p: AffinePattern, i: int, m: int) -> FactoredExpr:
-        """psi eigenvalue assembled from the four m-relative quotient series."""
-        if m >= i:
-            raise ActionError("need m < i")
-        return psi_from_quotients(self, p, i, m, self.ctx.u ** 2)
 
     # -- hat shift and node translation ---------------------------------------
 
@@ -145,7 +104,7 @@ class ToroidalAction:
             base = self.e_base_coeff(src, node, j)
         else:
             raise ActionError("kind must be e or f")
-        return ext * base * move_beta(self.p(src, node, j), kind, node) ** r
+        return ext * base * move_beta(self.weight(src, node, j), kind, node) ** r
 
     # -- Chevalley generators ---------------------------------------------------
 

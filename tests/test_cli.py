@@ -101,9 +101,17 @@ class _WrongCorrespondence(TangentOracle):
             super().tangent_character_correspondence(src, i, j))
 
 
+class _ExtraWeight(TangentOracle):
+    # a real character defect: one weight too many in both characters
+    def _four_sums(self, p, acc):
+        super()._four_sums(p, acc)
+        acc[self.ctx.v ** 4] += 1
+
+
 @pytest.mark.parametrize("oracle, label", [
     (_WrongSpace, "character size"),
     (_WrongCorrespondence, "correspondence size"),
+    (_ExtraWeight, "character size"),
 ])
 def test_oracle_size_counterexamples_carry_the_standard_keys(
         monkeypatch, oracle, label):
@@ -137,6 +145,22 @@ def test_oracle_bott_mismatch_is_a_counterexample(monkeypatch):
     assert cex["target"] == AffinePattern(3, [(1,), (), ()]).to_json()
     assert cex["modes"] == ["f", 1, 1, -1]
     assert cex["residual"] == "1"
+
+
+@pytest.mark.parametrize("args", [
+    ["verify", "--suite", "loop", "-n", "2", "-D", "1", "-R", "600000"],
+    ["verify", "--suite", "toroidal", "-n", "3", "-D", "1", "-R", "300000"],
+    ["op-matrix", "-n", "3", "--kind", "f", "--node", "1", "-d", "0,0",
+     "-r", "700000"],
+], ids=["loop", "toroidal", "op-matrix"])
+def test_modes_beyond_the_exponent_range_exit_2(tmp_path, capsys, args):
+    # the first power of a spectral factor at such a mode leaves the
+    # monomial exponent range (symbolic strategy)
+    out = tmp_path / "r.json"
+    assert run_cli(args + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err \
+        == "error: monomial exponent out of range\n"
+    assert not out.exists()
 
 
 def test_specialize_cli(tmp_path):

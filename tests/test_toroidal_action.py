@@ -5,7 +5,8 @@ import pytest
 
 from laumonk.exact import AT_INFINITY, AT_ZERO, expand_series, \
     z_partial_fractions
-from laumonk.finite_action import ActionError, FiniteAction, psi_pole_mode
+from laumonk.finite_action import ActionError, FiniteAction, \
+    move_coefficient, psi_value
 from laumonk.patterns import AffinePattern, FinitePattern, \
     enumerate_affine_total, enumerate_finite
 from laumonk.toroidal_action import ToroidalAction
@@ -29,20 +30,20 @@ def test_rank_two_rejected():
 
 def test_below_support_cancellation(T, pats):
     # factor pairs below the support contribute exactly 1: pushing the
-    # cutoff deeper never changes a coefficient
+    # column lower bound of the kernel deeper never changes a coefficient
     for p in pats:
         for i in (1, 2, 3):
             for tr in T.transitions("f", i, p):
                 c0 = min(p.support_min_col((i - 1, i)) - 1, i - 1,
                          tr.column - 1)
                 for extra in (1, 4, 9):
-                    assert T.f_base_coeff(p, i, tr.column, cutoff=c0 - extra) \
-                        == tr.base
+                    assert move_coefficient(T.ctx, T.weight, "f", p, i,
+                                            tr.column, c0 - extra) == tr.base
             for tr in T.transitions("e", i, p):
                 c0 = min(p.support_min_col((i, i + 1)) - 1, tr.column - 1)
                 for extra in (1, 4, 9):
-                    assert T.e_base_coeff(p, i, tr.column, cutoff=c0 - extra) \
-                        == tr.base
+                    assert move_coefficient(T.ctx, T.weight, "e", p, i,
+                                            tr.column, c0 - extra) == tr.base
 
 
 def test_psi_cutoff_independence(T, pats):
@@ -51,7 +52,8 @@ def test_psi_cutoff_independence(T, pats):
             base = T.psi_eigenvalue(p, i)
             c0 = min(p.support_min_col((i - 1, i, i + 1)) - 1, i - 1)
             for extra in (1, 3, 8):
-                assert T.psi_eigenvalue(p, i, cutoff=c0 - extra) == base
+                assert psi_value(T.ctx, T.weight, p, i, T.ctx.one,
+                                 c0 - extra, T.twist) == base
 
 
 def test_psi_empty_pattern_closed_form(T):
@@ -191,6 +193,41 @@ def test_transitions_reject_unknown_kinds(action, src):
     assert {key[0] for key in action._transitions_cache} == {"e"}
 
 
+# the operator methods written once in FiniteAction and bound into
+# ToroidalAction; a def of any of them in ToroidalAction would fork the code
+SHARED = ("f_base_coeff", "e_base_coeff", "transitions", "psi_eigenvalue",
+          "psi_mode", "b_quotient_eigenvalue", "psi_via_quotients")
+
+
+@pytest.mark.parametrize("name", SHARED)
+def test_operator_methods_are_one_function_on_both_modules(name):
+    assert vars(ToroidalAction)[name] is vars(FiniteAction)[name]
+
+
+@pytest.mark.parametrize("action, src, node", [
+    (FiniteAction(3), FinitePattern.zero(3), 0),
+    (FiniteAction(3), FinitePattern.zero(3), 3),
+    (ToroidalAction(3), AffinePattern.empty(3), 0),
+    (ToroidalAction(3), AffinePattern.empty(3), 4),
+], ids=["finite-0", "finite-n", "affine-0", "affine-n+1"])
+def test_transitions_reject_a_bad_node(action, src, node):
+    for kind in ("e", "f"):
+        with pytest.raises(ActionError):
+            action.transitions(kind, node, src)
+
+
+def test_finite_quotient_rows_lie_in_0_to_n():
+    A = FiniteAction(3)
+    zero = FinitePattern.zero(3)
+    for m, i in ((-1, 1), (-1, 3), (0, 4)):
+        with pytest.raises(ActionError):
+            A.b_quotient_eigenvalue(zero, m, i, A.ctx.one)
+    for i, m in ((1, -1), (2, -1)):
+        with pytest.raises(ActionError):
+            A.psi_via_quotients(zero, i, m)
+    assert A.psi_via_quotients(zero, 2, 0) == A.psi_eigenvalue(zero, 2)
+
+
 @pytest.mark.parametrize("action, src, node", [
     (FiniteAction(3), FinitePattern.zero(3), 99),
     (ToroidalAction(3), AffinePattern.empty(3), 0),
@@ -229,7 +266,7 @@ def _psi_eigenvalues(kind, n, max_total=3):
             hat = action.psi_hat_eigenvalue(p)
             probe = SimpleNamespace(ctx=action.ctx,
                                     psi_eigenvalue=lambda q, i, hat=hat: hat)
-            yield hat, lambda m, sign, probe=probe: psi_pole_mode(
+            yield hat, lambda m, sign, probe=probe: FiniteAction.psi_mode(
                 probe, None, 0, m, sign)
 
 
