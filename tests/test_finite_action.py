@@ -133,7 +133,8 @@ def test_spectral_recursion(A3):
         for i in (1, 2):
             for kind, shift in (("f", 0), ("e", 2)):
                 for tr in A3.transitions(kind, i, p):
-                    ratio = A3.weight(p, i, tr.column) * A3.ctx.v ** (i + shift)
+                    ratio = A3.weight(p, i, tr.column) \
+                        * A3.ctx.v ** (i + shift)
                     for b in (-1, 0, 2):
                         assert tr.coeff(b + 1) == tr.coeff(b) * ratio
 
