@@ -247,6 +247,8 @@ class FiniteAction:
     def psi_via_quotients(self, p, i: int, m: int) -> FactoredExpr:
         """psi eigenvalue at node i assembled from the four row-m quotient
         series (m < i)."""
+        if i not in self.nodes:
+            raise ActionError("node out of range")
         if m >= i:
             raise ActionError("need m < i")
         v = self.ctx.v

@@ -66,10 +66,13 @@ class FinitePattern:
         return tuple(sum(r) for r in self.rows)
 
     def row_sum(self, i: int) -> int:
-        """Row sum d_i with the boundary convention d_0 = d_n = 0."""
+        """Row sum d_i with the boundary convention d_0 = d_n = 0; rows
+        outside 0..n raise."""
+        if 0 < i < self.n:
+            return sum(self.rows[i - 1])
         if i in (0, self.n):
             return 0
-        return sum(self.rows[i - 1])
+        raise PatternError("row %d outside 0..%d" % (i, self.n))
 
     def total(self) -> int:
         return sum(sum(r) for r in self.rows)

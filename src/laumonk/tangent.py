@@ -76,6 +76,7 @@ class TangentOracle:
         self.n = n
         self.ctx = LaurentContext(n)
         self._space_cache = {}
+        self._corr_cache = {}
 
     # -- building blocks -----------------------------------------------------
 
@@ -163,8 +164,14 @@ class TangentOracle:
         """Character of the correspondence tangent space at a single-box move.
 
         `src` is the smaller pattern and (i, j) the cell being added;
-        size 2*sum(d) + 1, which the oracle suite checks.
+        size 2*sum(d) + 1, which the oracle suite checks.  Memoized per
+        valid move: the f-move from `src`, its reverse e-move and every mode
+        read the same character.
         """
+        key = (src, i, j)
+        hit = self._corr_cache.get(key)
+        if hit is not None:
+            return hit
         if src.bump(i, j, 1) is None:
             raise ActionError("invalid move at (%d, %d)" % (i, j))
         if not (1 <= i <= self.n):
@@ -188,7 +195,8 @@ class TangentOracle:
             base = self._mono(j, k, -2 * src.d(i, j))
             acc[base * v ** (2 * dik)] += 1
             acc[base * v ** (2 * dimk)] -= 1
-        return WeightMultiset(self.ctx, acc)
+        out = self._corr_cache[key] = WeightMultiset(self.ctx, acc)
+        return out
 
     # -- renormalization and the oracle ---------------------------------------
 

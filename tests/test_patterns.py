@@ -65,6 +65,14 @@ def test_finite_invariants_enforced():
         FinitePattern(3, [[-1], [0, 0]])
 
 
+def test_finite_row_sum_rejects_rows_outside_0_to_n():
+    p = FinitePattern(3, [[1], [1, 0]])
+    assert [p.row_sum(i) for i in range(4)] == [0, 1, 1, 0]
+    for row in (-1, -3, 4):
+        with pytest.raises(PatternError):
+            p.row_sum(row)
+
+
 def test_affine_enumeration_and_count_identity():
     assert [p.lambdas for p in enumerate_affine(2, (0, 0))] == [((), ())]
     assert len(enumerate_affine_total(2, 1)) == 2

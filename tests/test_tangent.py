@@ -1,5 +1,6 @@
 import pytest
 
+from laumonk import cli
 from laumonk.finite_action import ActionError
 from laumonk.patterns import AffinePattern, enumerate_affine_total
 from laumonk.tangent import CharacterError, TangentOracle, WeightMultiset
@@ -117,3 +118,70 @@ def test_renormalized_e_vs_plain_f_monomial(O, T, pats):
 def test_invalid_move_rejected(O):
     with pytest.raises(ActionError):
         O.tangent_character_correspondence(AffinePattern.empty(3), 2, 1)
+
+
+def _moves(action, max_degree):
+    """(kind, smaller pattern, node, column) of every single-box move from
+    the sources up to max_degree, f-moves and e-moves."""
+    for p in action.sources(max_degree):
+        for node in action.nodes:
+            for kind in ("f", "e"):
+                for tr in action.transitions(kind, node, p):
+                    small = p if kind == "f" else tr.target
+                    yield kind, small, node, tr.column
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_memoized_correspondence_matches_a_fresh_oracle(n):
+    oracle = TangentOracle(n)
+    seen = {}
+    reused = 0
+    for kind, small, node, column in _moves(ToroidalAction(n), 2):
+        got = oracle.tangent_character_correspondence(small, node, column)
+        fresh = TangentOracle(n).tangent_character_correspondence(
+            small, node, column)
+        assert got == fresh
+        key = (small, node, column)
+        if key in seen:
+            # an e-move back to a source reads its f-move's character
+            assert got is seen[key]
+            reused += kind == "e"
+        seen[key] = got
+    assert reused
+    assert oracle._corr_cache == seen
+
+
+@pytest.mark.parametrize("src, i, j", [
+    (AffinePattern.empty(3), 2, 1),                 # bump fails
+    (AffinePattern(3, [(1,), (), ()]), 1, 2),       # j > i
+    (AffinePattern.empty(3), 4, 4),                 # node n + 1
+    (AffinePattern.empty(3), 0, 0),                 # node 0
+])
+def test_invalid_move_raises_cold_and_warm_and_is_not_cached(src, i, j):
+    cold = TangentOracle(3)
+    with pytest.raises(ActionError):
+        cold.tangent_character_correspondence(src, i, j)
+    assert cold._corr_cache == {}
+    warm = TangentOracle(3)
+    for _kind, small, node, column in _moves(ToroidalAction(3), 1):
+        warm.tangent_character_correspondence(small, node, column)
+    assert warm._corr_cache
+    for _ in range(2):
+        with pytest.raises(ActionError):
+            warm.tangent_character_correspondence(src, i, j)
+        assert (src, i, j) not in warm._corr_cache
+
+
+def test_oracle_suite_builds_each_character_once(monkeypatch):
+    calls = []
+
+    class Counting(TangentOracle):
+        def _four_sums(self, p, acc):
+            calls.append(p)
+            super()._four_sums(p, acc)
+
+    monkeypatch.setattr(cli, "TangentOracle", Counting)
+    (report,) = cli.oracle_suite(3, max_degree=2)
+    assert report.status == "pass"
+    # once per source pattern and once per move (src, i, j)
+    assert len(calls) == 67

@@ -229,6 +229,17 @@ def test_finite_quotient_rows_lie_in_0_to_n():
 
 
 @pytest.mark.parametrize("action, src, node", [
+    (FiniteAction(3), FinitePattern(3, [[1], [1, 0]]), 3),
+    (ToroidalAction(3), AffinePattern(3, [(1,), (), ()]), 0),
+    (ToroidalAction(3), AffinePattern(3, [(1,), (), ()]), 4),
+], ids=["finite-n", "affine-0", "affine-n+1"])
+def test_psi_via_quotients_rejects_a_node_outside_the_nodes(action, src,
+                                                             node):
+    with pytest.raises(ActionError):
+        action.psi_via_quotients(src, node, node - 1)
+
+
+@pytest.mark.parametrize("action, src, node", [
     (FiniteAction(3), FinitePattern.zero(3), 99),
     (ToroidalAction(3), AffinePattern.empty(3), 0),
 ], ids=["finite", "affine"])

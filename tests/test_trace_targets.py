@@ -14,6 +14,7 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+from laumonk import cli
 from laumonk.finite_action import FiniteAction
 from laumonk.patterns import AffinePattern, FinitePattern
 from laumonk.specialization import LevelWeight, closure_report
@@ -48,7 +49,11 @@ COUNTED = [
     for mod, cls in (("finite_action", "FiniteAction"),
                      ("toroidal_action", "ToroidalAction"))
     for attr in ("f_base_coeff", "e_base_coeff", "psi_eigenvalue")
-] + [("specialization", "RenormalizedAction", "coefficient")]
+] + [("specialization", "RenormalizedAction", "coefficient")] + [
+    ("tangent", "TangentOracle", attr)
+    for attr in ("tangent_character_space",
+                 "tangent_character_correspondence", "bott_coefficient")
+]
 
 
 def test_traced_methods_are_reached_through_the_class(monkeypatch):
@@ -72,4 +77,5 @@ def test_traced_methods_are_reached_through_the_class(monkeypatch):
             assert action.transitions(kind, 1, src)
         action.psi_mode(src, 1, 1, "+")
     closure_report(LevelWeight(3, 1, (0, 0, 0)), max_total=1)
+    cli.oracle_suite(3, max_degree=1)
     assert all(hits.values()), hits
