@@ -180,11 +180,8 @@ def cmd_specialize(args) -> int:
     except WeightError as err:
         print("rejected: %s" % err, file=sys.stderr)
         return 2
-    u_exponent = None
-    if args.wrong_u:
-        u_exponent = -args.level - args.n + 1
     report = closure_report(w, max_total=args.max_degree,
-                            u_exponent=u_exponent)
+                            wrong_u=args.wrong_u)
     report["command"] = "specialize"
     _write_report(args.out, report)
     for block in report["blocks"]:

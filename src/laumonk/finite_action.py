@@ -76,20 +76,25 @@ def shaped(ctx, pref, num, den) -> FactoredExpr:
         / prod((1 - m for m in den), start=ctx.one)
 
 
+def move_prefactor(ctx, kind, p, i) -> FactoredExpr:
+    """Monomial prefactor of a move at row i read off p, without the
+    line-bundle weight: -t_i^{-1} v^{d_i - d_{i-1} - 1 + i} for f,
+    t_{i+1}^{-1} v^{d_{i+1} - d_i + 1 - i} for e."""
+    if kind == "f":
+        return -ctx.v ** (p.row_sum(i) - p.row_sum(i - 1) - 1 + i) \
+            / ctx.t_res(i)
+    return ctx.v ** (p.row_sum(i + 1) - p.row_sum(i) + 1 - i) \
+        / ctx.t_res(i + 1)
+
+
 def move_coefficient(ctx, w, kind, src, i, j, lo) -> FactoredExpr:
     """r=0 coefficient of the f-move raising (e-move lowering) d_{ij},
-    read off the source pattern."""
+    read off the source pattern: the prefactor, times w_{ij} for f."""
     if src.bump(i, j, 1 if kind == "f" else -1) is None:
         raise ActionError("invalid %s-move at (%d, %d)" % (kind, i, j))
     wij, num, den = column_ratios(w, kind, src, i, j, lo)
-    v = ctx.v
-    if kind == "f":
-        pref = -(wij * v ** (src.row_sum(i) - src.row_sum(i - 1) - 1 + i)) \
-            / ctx.t_res(i)
-    else:
-        pref = v ** (src.row_sum(i + 1) - src.row_sum(i) + 1 - i) \
-            / ctx.t_res(i + 1)
-    return shaped(ctx, pref, num, den)
+    pref = move_prefactor(ctx, kind, src, i)
+    return shaped(ctx, wij * pref if kind == "f" else pref, num, den)
 
 
 def move_beta(wij, kind, i) -> FactoredExpr:

@@ -422,6 +422,13 @@ def _serre(acc, tables, a, b, c, coeff, zero):
 # -- relation families ----------------------------------------------------------
 
 
+def _applies(mutate, applied):
+    """Reject a mutation that the family would not apply: it would run
+    unmutated and still record the mutation in its scope."""
+    if mutate and mutate != applied:
+        raise ValueError("this family does not apply mutation %r" % mutate)
+
+
 def verify_xx_same(action, kind: str, k: int, window: int = 2,
                    max_degree: int = 3, strategy: str = SYMBOLIC,
                    seed: int = 0, trials: int = 5,
@@ -430,6 +437,7 @@ def verify_xx_same(action, kind: str, k: int, window: int = 2,
     X_{a+1}X_b - c X_a X_{b+1} = c X_b X_{a+1} - X_{b+1} X_a
     with c = v^{-2} on the f-side and v^{2} on the e-side.
     """
+    _applies(mutate, "halved_twist")
     cexp = -2 if kind == "f" else 2
     if mutate == "halved_twist":
         cexp //= 2
@@ -451,6 +459,7 @@ def verify_xx_pair(action, kind: str, k: int, l: int, window: int = 2,
     """
     family = "tor_xx_boundary" if boundary else "xx_adjacent"
     a_kl = -1 if boundary else _cartan(action, k, l)
+    _applies(mutate, "squared_twist" if a_kl else None)
     cexp = None
     if a_kl:
         cexp = -a_kl if kind == "f" else a_kl
@@ -497,6 +506,7 @@ def verify_commutator(action, k: int, l: int, window: int = 2,
                       seed: int = 0, trials: int = 5,
                       mutate: str = None) -> VerificationReport:
     """[e_{k,a}, f_{l,b}] = delta_{kl} (psi^+ - psi^-)_{k,a+b} / (v^2-1)."""
+    _applies(mutate, "textbook_divisor" if k == l else None)
 
     def diagonal(ev):
         v = ev.v
@@ -528,6 +538,7 @@ def verify_psi_x(action, k: int, l: int, kind: str, max_degree: int = 3,
     """
     family = {None: "psi_x", "psi_hat": "tor_psix_boundary_a",
               "x_hat": "tor_psix_boundary_b"}[boundary]
+    _applies(mutate, "unshifted" if boundary else None)
     sources = action.sources(max_degree)
     a_kl = -1 if boundary else _cartan(action, k, l)
 
@@ -590,6 +601,7 @@ def verify_serre(action, kind: str, i: int, j: int, window: int = 2,
     sweep runs to exhibit a concrete (a, b, c) counterexample; when the
     sweep finds none, the surviving group itself is the counterexample.
     """
+    _applies(mutate, "flattened")
     sources = action.sources(max_degree)
 
     def body(ev, check):
@@ -805,9 +817,9 @@ def toroidal_suite(n: int = 3, max_degree: int = 2, window: int = 2,
 def negative_controls(n: int = 3, max_degree: int = 2, window: int = 1,
                       strategy: str = SYMBOLIC, seed: int = 0,
                       trials: int = 5) -> list:
-    """Mutated relations; every report here must FAIL with a counterexample."""
-    n = max(n, 3)
-    finite, affine = FiniteAction(n), ToroidalAction(n)
+    """Mutated relations; every report here must FAIL with a counterexample.
+    Half of them run on the affine module, so n < 3 raises `ActionError`."""
+    affine, finite = ToroidalAction(n), FiniteAction(n)
     common = dict(max_degree=max_degree, strategy=strategy, seed=seed,
                   trials=trials)
     windowed = dict(common, window=window)

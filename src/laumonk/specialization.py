@@ -14,7 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .exact import ExactError, FactoredExpr, LaurentContext
-from .finite_action import ActionError, column_ratios, move_beta, shaped
+from .finite_action import ActionError, column_ratios, move_beta, \
+    move_prefactor, shaped
 from .patterns import AffinePattern, enumerate_affine, \
     enumerate_affine_total, neighbors
 from .toroidal_action import ToroidalAction
@@ -50,23 +51,10 @@ class LevelWeight:
         if seq[-1] + self.K < seq[0]:
             raise WeightError("dominance needs mu_0 + K >= mu_{1-n}")
 
-    def mu_at(self, i: int) -> int:
-        """mu_{i} for i in the window {1-n, .., 0}."""
-        if not (1 - self.n <= i <= 0):
-            raise WeightError("index outside the mu window")
-        return self.mu[i - (1 - self.n)]
-
-
-class ExtendedWeight:
-    """Nonincreasing extension mu~_i = mu_{i mod n} + floor(-i/n) K."""
-
-    def __init__(self, w: LevelWeight):
-        self.w = w
-
-    def __call__(self, i: int) -> int:
-        n = self.w.n
-        rep = (i - (1 - n)) % n + (1 - n)
-        return self.w.mu_at(rep) + (-i // n) * self.w.K
+    def extended(self, i: int) -> int:
+        """Nonincreasing extension mu~_i = mu_{i mod n} + floor(-i/n) K,
+        with the residue i mod n taken in the window {1-n, .., 0}."""
+        return self.mu[(i - 1) % self.n] + (-i // self.n) * self.K
 
 
 def in_D_mu(p: AffinePattern, w: LevelWeight, brute_bound: int = None) -> bool:
@@ -82,7 +70,7 @@ def in_D_mu(p: AffinePattern, w: LevelWeight, brute_bound: int = None) -> bool:
     if p.n != w.n:
         raise WeightError("pattern and weight rank differ")
     n = p.n
-    mut = ExtendedWeight(w)
+    mut = w.extended
     if brute_bound is None:
         for i in range(1, n + 1):
             for m in range(p.max_length()):
@@ -107,17 +95,17 @@ def in_D_mu(p: AffinePattern, w: LevelWeight, brute_bound: int = None) -> bool:
 class SpecializationMap:
     """Exponent map of the one-variable specialization.
 
-    Sends t_j to v^{mu~_j - j + 1} (j = 1..n) and u to v^{u_exponent}
-    (default -K-n); everything lands in exact Laurent rationals in v.
-    The u-exponent is overridable to drive the negative control.
+    Sends t_j to v^{mu~_j - j + 1} (j = 1..n) and u to v^{-K-n};
+    everything lands in exact Laurent rationals in v.  With wrong_u the
+    u-exponent is off by one, -K-n+1: the negative control.
     """
 
-    def __init__(self, w: LevelWeight, u_exponent: int = None):
+    def __init__(self, w: LevelWeight, wrong_u: bool = False):
         self.w = w
         self.n = w.n
-        mut = ExtendedWeight(w)
-        self.t_exponents = tuple(mut(j) - j + 1 for j in range(1, w.n + 1))
-        self.u_exponent = -w.K - w.n if u_exponent is None else u_exponent
+        self.t_exponents = tuple(w.extended(j) - j + 1
+                                 for j in range(1, w.n + 1))
+        self.u_exponent = -w.K - w.n + (1 if wrong_u else 0)
         # v-exponents of t_1..t_n, u and v; z has none
         self._weights = self.t_exponents + (self.u_exponent, 1)
         self.ctx = LaurentContext(w.n)
@@ -148,9 +136,9 @@ class SpecializationMap:
 
 
 def specialize(x: FactoredExpr, w: LevelWeight,
-               u_exponent: int = None) -> FactoredExpr:
+               wrong_u: bool = False) -> FactoredExpr:
     """Exact substitution on the reduced numerator/denominator pair."""
-    smap = SpecializationMap(w, u_exponent)
+    smap = SpecializationMap(w, wrong_u)
     num, den = map(smap._specialize_terms, x.canonical())
     if den.is_zero:
         raise SpecializationError("denominator specializes to zero")
@@ -188,12 +176,9 @@ class FactoredCoefficient:
             )
         ctx = self.smap.ctx
         v = ctx.v
-        out = ctx.rational(self.sign) * v ** self.v_power
-        for e in self.num_exponents:
-            out = out * (1 - v ** e)
-        for e in self.den_exponents:
-            out = out / (1 - v ** e)
-        return out
+        return shaped(ctx, ctx.rational(self.sign) * v ** self.v_power,
+                      [v ** e for e in self.num_exponents],
+                      [v ** e for e in self.den_exponents])
 
 
 class RenormalizedAction:
@@ -207,11 +192,9 @@ class RenormalizedAction:
     factor (p_{ij} v^{i+2})^r.
     """
 
-    def __init__(self, w: LevelWeight, u_exponent: int = None):
-        if w.n < 3:
-            raise ActionError("the affine action needs n >= 3")
+    def __init__(self, w: LevelWeight, wrong_u: bool = False):
         self.w = w
-        self.smap = SpecializationMap(w, u_exponent)
+        self.smap = SpecializationMap(w, wrong_u)
         self.action = ToroidalAction(w.n)
         self.ctx = self.action.ctx
 
@@ -228,13 +211,8 @@ class RenormalizedAction:
         shape, rows = ("e", (i, i + 1)) if kind == "f" else ("f", (i - 1, i))
         lo = self.action.low(read, rows, j - 1)
         pij, num, den = column_ratios(self.action.weight, shape, read, i, j, lo)
-        ctx = self.ctx
-        if kind == "f":
-            pref = -(pij * ctx.v ** (
-                read.row_sum(i) - read.row_sum(i - 1) + i)) / ctx.t_res(i)
-        else:
-            pref = ctx.v ** (
-                read.row_sum(i + 1) - read.row_sum(i) - i) / ctx.t_res(i + 1)
+        pref = move_prefactor(self.ctx, kind, read, i)
+        pref = pref * pij * self.ctx.v if kind == "f" else pref / self.ctx.v
         if r:
             pref = pref * move_beta(pij, shape, i) ** r
         return pref, num, den
@@ -301,7 +279,7 @@ def _closure_block(w: LevelWeight, ren: RenormalizedAction, deg, patterns):
 
 
 def build_Vmu_block(w: LevelWeight, deg, window: int = 2,
-                    u_exponent: int = None) -> dict:
+                    wrong_u: bool = False) -> dict:
     """Basis and closure data of one graded block of the candidate module.
 
     Returns the D(mu)-basis of the degree block, the specialized matrices of
@@ -310,7 +288,7 @@ def build_Vmu_block(w: LevelWeight, deg, window: int = 2,
     defined values), (b) transitions leaving D(mu) have vanishing numerators.
     Violations are collected, not thrown.
     """
-    ren = RenormalizedAction(w, u_exponent)
+    ren = RenormalizedAction(w, wrong_u)
     block, defined = _closure_block(w, ren, deg, enumerate_affine(w.n, deg))
     block["matrices"] = [
         {"kind": kind, "mode": r, "node": node, "source": p.to_json(),
@@ -323,14 +301,14 @@ def build_Vmu_block(w: LevelWeight, deg, window: int = 2,
 
 
 def closure_report(w: LevelWeight, max_total: int = 2,
-                   u_exponent: int = None) -> dict:
+                   wrong_u: bool = False) -> dict:
     """Closure status over all degree blocks with total box count <= bound."""
     n = w.n
     by_degree = {}
     for total in range(max_total + 1):
         for p in enumerate_affine_total(n, total):
             by_degree.setdefault(p.degree(), []).append(p)
-    ren = RenormalizedAction(w, u_exponent)
+    ren = RenormalizedAction(w, wrong_u)
     blocks = []
     for deg in sorted(by_degree):
         block, _ = _closure_block(w, ren, deg, by_degree[deg])
@@ -340,7 +318,7 @@ def closure_report(w: LevelWeight, max_total: int = 2,
         "n": n,
         "level": w.K,
         "mu": list(w.mu),
-        "u_exponent": -w.K - w.n if u_exponent is None else u_exponent,
+        "u_exponent": ren.smap.u_exponent,
         "max_total_degree": max_total,
         "blocks": blocks,
         "closure": all(b["closure"] for b in blocks),

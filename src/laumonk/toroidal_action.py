@@ -22,7 +22,8 @@ by -n multiplies the mode-r coefficient by exactly (v^n u^2)^{-r}).
 from __future__ import annotations
 
 from .exact import FactoredExpr, LaurentContext, z_partial_fractions
-from .finite_action import ActionError, FiniteAction, move_beta, psi_value
+from .finite_action import ActionError, FiniteAction, move_beta, \
+    move_prefactor, psi_prefactor, psi_value
 from .patterns import AffinePattern, ceil_div, enumerate_affine_total, \
     p_weight
 
@@ -109,16 +110,12 @@ class ToroidalAction:
     # -- Chevalley generators ---------------------------------------------------
 
     def chevalley_k(self, p: AffinePattern, i: int) -> FactoredExpr:
-        """Cartan eigenvalue at node i in 0..n-1 (with the u-twist at i=0)."""
+        """Cartan eigenvalue at node i in 0..n-1: the psi prefactor, with
+        the u-twist u^{-1} at i=0."""
         if not (0 <= i <= self.n - 1):
             raise ActionError("Chevalley node out of range 0..n-1")
-        ctx = self.ctx
-        out = ctx.t_res(i + 1) ** -1 * ctx.t_res(i) * ctx.v ** (
-            -2 * p.row_sum(i) + p.row_sum(i - 1) + p.row_sum(i + 1) - 1
-        )
-        if i == 0:
-            out = out * ctx.u ** -1
-        return out
+        return psi_prefactor(self.ctx, p, i,
+                             self.ctx.u ** -1 if i == 0 else self.ctx.one)
 
     def chevalley_transitions(self, p: AffinePattern, i: int, kind: str):
         """Zero-mode raising/lowering coefficients at node i in 0..n-1.
@@ -126,32 +123,21 @@ class ToroidalAction:
         Nodes 1..n-1 are the plain r=0 modes; node 0 reuses the node-n
         correspondence: the bare push-pull operator is identical, and the
         node-0 line bundle weight differs from the node-n one by u^{-2}
-        (twist by the degree-shift divisor), so the i=0 prefactors apply
-        to the same geometric data.
+        (twist by the degree-shift divisor), so each node-n coefficient
+        trades its move prefactor for the node-0 one, times u^{-1} on the
+        f-side.
         """
         if not (0 <= i <= self.n - 1):
             raise ActionError("Chevalley node out of range 0..n-1")
         if i != 0:
             return [(tr.target, tr.base) for tr in self.transitions(kind, i, p)]
         ctx = self.ctx
-        n = self.n
-        v, u = ctx.v, ctx.u
-        out = []
-        d0 = p.row_sum(n)
-        dm1 = p.row_sum(n - 1)
-        d1 = p.row_sum(n + 1)
-        if kind == "e":
-            pref_n = ctx.t_res(n + 1) ** -1 * v ** (d1 - d0 + 1 - n)
-            pref_0 = ctx.t_res(1) ** -1 * v ** (d1 - d0 + 1)
-            for tr in self.transitions("e", n, p):
-                out.append((tr.target, tr.base / pref_n * pref_0))
-            return out
-        pref_n = -(ctx.t_res(n) ** -1) * v ** (d0 - dm1 - 1 + n)
-        pref_0 = -(ctx.t_res(n) ** -1) * u * v ** (d0 - dm1 - 1)
-        for tr in self.transitions("f", n, p):
-            # bare f-coefficient carries the line-bundle weight; retwist by u^{-2}
-            out.append((tr.target, tr.base / pref_n * u ** -2 * pref_0))
-        return out
+        plain = self.transitions(kind, self.n, p)
+        scale = move_prefactor(ctx, kind, p, 0) \
+            / move_prefactor(ctx, kind, p, self.n)
+        if kind == "f":
+            scale = scale * ctx.u ** -1
+        return [(tr.target, tr.base * scale) for tr in plain]
 
     def chevalley_node0_ratios(self, p: AffinePattern):
         """Empirical ratios (e, f, k) of node-0 Chevalley ops to hat-shifted

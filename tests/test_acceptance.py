@@ -175,8 +175,7 @@ def test_criterion_7_specialization_closure():
             rep = closure_report(w, max_total=2)
             ok = ok and rep["closure"]
     w = LevelWeight(3, 1, (0, 0, 0))
-    control = closure_report(w, max_total=2,
-                             u_exponent=-w.K - w.n + 1)
+    control = closure_report(w, max_total=2, wrong_u=True)
     control_failed = not control["closure"] and any(
         b["violations_vanishing"] for b in control["blocks"])
     _announce("7 specialization closure", ok and control_failed)

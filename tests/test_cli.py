@@ -62,6 +62,12 @@ def test_verify_exit_codes(tmp_path):
                     "--out", str(out)]) == 0
     data = json.loads(out.read_text())
     assert all(r["status"] == "fail" for r in data["reports"])
+    # the controls need the affine module, so n = 2 is rejected as by the
+    # toroidal suite, not run at another rank
+    for suite in ("controls", "toroidal"):
+        assert run_cli(["verify", "--suite", suite, "-n", "2", "-D", "1",
+                        "--out", str(out) + suite]) == 2
+        assert not os.path.exists(str(out) + suite)
     # a scope that checks nothing is rejected, not passed
     for bad in (["--strategy", "random", "--trials", "0"], ["-D", "-1"],
                 ["-R", "-1"]):

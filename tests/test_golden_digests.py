@@ -144,20 +144,20 @@ OTHER = {
         "45cd8b82bd54d052b54b9ed20569feed04784a7ba52a735da2adcad546eede76"),
 }
 
-# name -> ((K, mu, degree, u_exponent), sha256 of the sorted-key JSON block);
+# name -> ((K, mu, degree, wrong_u), sha256 of the sorted-key JSON block);
 # all at n = 3 with window 2
 VMU_BLOCKS = {
     "K1-000-111": (
-        (1, (0, 0, 0), (1, 1, 1), None),
+        (1, (0, 0, 0), (1, 1, 1), False),
         "ae0a91b332866c154659cf96ba0a3a34893b79c3bb1c13f744064a4790507d87"),
     "K2-100-111": (
-        (2, (1, 0, 0), (1, 1, 1), None),
+        (2, (1, 0, 0), (1, 1, 1), False),
         "0c67f7f351d066a80bc35854fafb5d9b1e0f352d18bacd53c5775054b7eeac96"),
     "K2-100-211": (
-        (2, (1, 0, 0), (2, 1, 1), None),
+        (2, (1, 0, 0), (2, 1, 1), False),
         "6b38a87a00f5f65afb8f2a2c804788a4f9ff04f5761697181b3efd5ed6b7be7e"),
     "K1-000-111-wrong-u": (
-        (1, (0, 0, 0), (1, 1, 1), -3),
+        (1, (0, 0, 0), (1, 1, 1), True),
         "d5a962ae0bb18c90493ec264479b35879be50e8c4f5f0a1dfd768613e2e0dbc6"),
 }
 
@@ -183,8 +183,8 @@ def test_report_digest(name, tmp_path):
 
 @pytest.mark.parametrize("name", sorted(VMU_BLOCKS))
 def test_vmu_block_digest(name):
-    (K, mu, deg, u), digest = VMU_BLOCKS[name]
+    (K, mu, deg, wrong_u), digest = VMU_BLOCKS[name]
     block = build_Vmu_block(LevelWeight(3, K, mu), deg, window=2,
-                            u_exponent=u)
+                            wrong_u=wrong_u)
     text = json.dumps(block, sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == digest

@@ -4,7 +4,7 @@ import json
 import pytest
 
 from laumonk import relations
-from laumonk.finite_action import FiniteAction
+from laumonk.finite_action import ActionError, FiniteAction
 from laumonk.patterns import FinitePattern, enumerate_finite, neighbors
 from laumonk.relations import (
     RelationId,
@@ -213,6 +213,25 @@ def test_toroidal_boundary_families(am3):
     # the shift is necessary
     assert not verify_psi_x(am3, 1, 3, "f", max_degree=1, boundary="psi_hat",
                             mutate="unshifted").passed
+
+
+def test_a_mutation_the_family_does_not_apply_is_rejected(fm3):
+    # each would run unmutated and record the mutation in its scope
+    fm4 = FiniteAction(4)
+    cases = [
+        lambda: verify_xx_pair(fm4, "f", 1, 3, mutate="squared_twist"),
+        lambda: verify_xx_same(fm3, "f", 1, mutate="flattened"),
+        lambda: verify_psi_x(fm3, 1, 2, "f", mutate="unshifted"),
+        lambda: verify_commutator(fm3, 1, 2, mutate="textbook_divisor"),
+    ]
+    for case in cases:
+        with pytest.raises(ValueError, match="does not apply mutation"):
+            case()
+
+
+def test_negative_controls_reject_rank_two():
+    with pytest.raises(ActionError):
+        negative_controls(2, max_degree=1, window=1)
 
 
 def test_resample_exhaustion_is_an_error_report(fm2):

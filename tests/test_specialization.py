@@ -8,7 +8,6 @@ from laumonk.exact import LaurentContext
 from laumonk.finite_action import ActionError
 from laumonk.patterns import AffinePattern, enumerate_affine_total
 from laumonk.specialization import (
-    ExtendedWeight,
     LevelWeight,
     RenormalizedAction,
     SpecializationError,
@@ -33,7 +32,7 @@ def test_level_weight_validation():
 
 def test_extend_weight_example():
     w = LevelWeight(2, 1, (1, 0))
-    mut = ExtendedWeight(w)
+    mut = w.extended
     assert mut(1) == 0 and mut(2) == -1
     assert mut(-1) == 1 and mut(0) == 0
 
@@ -47,12 +46,12 @@ def test_extend_weight_properties():
         rest = sorted((rng.randint(mu0, mu0 + K) for _ in range(n - 1)),
                       reverse=True)
         w = LevelWeight(n, K, tuple(rest) + (mu0,))
-        mut = ExtendedWeight(w)
+        mut = w.extended
         for i in range(-40, 40):
             assert mut(i) >= mut(i + 1)
             assert mut(i + n) == mut(i) - K
     w0 = LevelWeight(3, 2, (0, 0, 0))
-    mut0 = ExtendedWeight(w0)
+    mut0 = w0.extended
     for i in range(-20, 20):
         assert mut0(i) == (-i // 3) * 2
 
@@ -91,7 +90,7 @@ def d_mu_members(draw, w):
     value at j = 1 and sorted offsets in 0..K for j = 2..n (K bounds the
     total rise, because the sequence gains exactly K over a period); the
     tuple ends at the first row that leaves 0..5 or would grow a part."""
-    n, mut = w.n, ExtendedWeight(w)
+    n, mut = w.n, w.extended
     rows, cap = [], [5] * n
     for _ in range(draw(st.integers(0, 4))):
         b = draw(st.integers(-mut(1), 5 - mut(1)))
@@ -146,7 +145,7 @@ def test_in_D_mu_reduction_matches_brute_force(case):
 
 def test_in_D_mu_violator_at_l_equals_one():
     w = LevelWeight(3, 1, (0, 0, 0))
-    mut = ExtendedWeight(w)
+    mut = w.extended
     found = None
     for p in enumerate_affine_total(3, 3):
         for i in range(1, 4):
@@ -164,7 +163,7 @@ def test_in_D_mu_violator_at_l_equals_one():
 def test_specialize_examples():
     w = LevelWeight(3, 1, (0, 0, 0))
     ctx = LaurentContext(3)
-    mut = ExtendedWeight(w)
+    mut = w.extended
     assert specialize(ctx.u * ctx.v ** (w.K + w.n), w) == ctx.one
     for j in (1, 2, 3):
         assert specialize(ctx.t[j - 1] ** 2, w) == \
@@ -242,8 +241,7 @@ def test_closure_small_blocks():
 
 def test_closure_negative_control():
     w = LevelWeight(3, 1, (0, 0, 0))
-    rep = closure_report(w, max_total=2,
-                         u_exponent=-w.K - w.n + 1)
+    rep = closure_report(w, max_total=2, wrong_u=True)
     assert not rep["closure"]
     assert any(b["violations_vanishing"] for b in rep["blocks"])
 

@@ -167,6 +167,13 @@ def test_chevalley_matches_zero_modes_inside(T, pats):
                 assert got == want
 
 
+def test_chevalley_transitions_reject_an_unknown_kind(T, pats):
+    # node 0 sends its kind through `transitions`, as nodes 1..n-1 do
+    for i in (0, 1):
+        with pytest.raises(ActionError):
+            T.chevalley_transitions(pats[1], i, "x")
+
+
 def test_chevalley_node0_ratios_constant(T, pats):
     # the scalars relating node-0 Chevalley operators to the shifted node-n
     # zero modes are reported, not asserted; they must not depend on the
