@@ -78,8 +78,12 @@ def cmd_patterns(args) -> int:
     return 0
 
 
-def oracle_suite(n: int, max_degree: int = 2) -> list:
-    """Bott-Lefschetz equality and character-size checks as reports."""
+def oracle_suite(n: int, max_degree: int = 2, strategy: str = rel.SYMBOLIC,
+                 seed: int = 0) -> list:
+    """Bott-Lefschetz equality and character-size checks as reports; the
+    checks compare symbolically, so only the symbolic strategy runs."""
+    if strategy != rel.SYMBOLIC:
+        raise ValueError("the oracle suite runs only the symbolic strategy")
     oracle = TangentOracle(n)
     action = ToroidalAction(n)
     ctx = action.ctx
@@ -115,7 +119,7 @@ def oracle_suite(n: int, max_degree: int = 2) -> list:
                                         [kind, node, tr.column, r],
                                         got - tr.coeff(r))
 
-    return [rel._run(action, rel.RelationId("bott_oracle"), body,
+    return [rel._run(action, rel.RelationId("bott_oracle"), body, seed=seed,
                      max_degree=max_degree, window=[-1, 0, 1])]
 
 
@@ -130,14 +134,20 @@ SUITES = {
     "glzero": lambda args: rel.verify_gl_zero_modes(
         FiniteAction(args.n), max_degree=args.max_degree,
         strategy=args.strategy, seed=args.seed, trials=args.trials),
-    "oracle": lambda args: oracle_suite(args.n, max_degree=args.max_degree),
+    "oracle": lambda args: oracle_suite(
+        args.n, max_degree=args.max_degree, strategy=args.strategy,
+        seed=args.seed),
     "controls": lambda args: rel.negative_controls(
-        args.n, max_degree=min(args.max_degree, 2), window=1,
+        args.n, max_degree=args.max_degree, window=args.window,
         strategy=args.strategy, seed=args.seed, trials=args.trials),
 }
 
 
 def cmd_verify(args) -> int:
+    if args.suite == "controls":
+        # the controls run at window 1 and max-degree at most 2; the payload
+        # states the scope that ran
+        args.max_degree, args.window = min(args.max_degree, 2), 1
     reports = SUITES[args.suite](args)
     payload = {
         "command": "verify",

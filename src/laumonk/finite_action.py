@@ -8,10 +8,10 @@ and read the smaller pattern, the e-modes lower it and read the larger one.  Bou
 s_{n,k} = t_k^2.
 
 The coefficient shapes (a monomial times (1 - monomial) products) are built
-once here, by module-level functions parameterized by the weight function,
-the column lower bound and the prefactor twist; the renormalized affine
-basis calls the same functions, and the affine module binds the operator
-methods of `FiniteAction` itself.
+once here, by module-level functions that read the weights off the pattern
+and take the column lower bound and the prefactor twist; the renormalized
+affine basis calls the same functions, and the affine module binds the
+operator methods of `FiniteAction` itself.
 """
 
 from __future__ import annotations
@@ -21,12 +21,7 @@ from dataclasses import dataclass
 from math import prod
 
 from .exact import FactoredExpr, LaurentContext, z_partial_fractions
-from .patterns import FinitePattern, enumerate_finite, neighbors, \
-    s_weight
-
-
-class ActionError(ValueError):
-    pass
+from .patterns import ActionError, FinitePattern, enumerate_finite
 
 
 @dataclass(frozen=True)
@@ -45,26 +40,28 @@ class Transition:
 # -- the shared coefficient kernel ------------------------------------------
 #
 # The finite and the affine module (and the renormalized affine basis) build
-# every coefficient from one weight function w(pattern, i, j) -- s on the
-# finite module, p on the affine one -- and a column lower bound lo: the
-# products run over the columns lo < k, all of them on the finite module
-# (lo = 0) and a telescoped window on the affine one.
+# every coefficient from the pattern's weight p.weight(ctx, i, j) -- s on the
+# finite module, p on the affine one -- and a column lower bound lo, which
+# the callers read as p.low(rows, bound): the products run over the columns
+# lo < k, all of them on the finite module (lo = 0) and a telescoped window
+# on the affine one.
 
 
-def column_ratios(w, kind, src, i, j, lo):
+def column_ratios(ctx, kind, src, i, j, lo):
     """(w_{ij}, numerator, denominator) of the f- or e-shaped products at
     cell (i, j) of src over the columns lo < k: the lists hold the monomials
     m of the (1 - m) factors, and the denominator opens with v^2 for the
     (1 - v^2) factor of every shape."""
-    wij = w(src, i, j)
-    v = wij.ctx.v
+    w = src.weight
+    wij = w(ctx, i, j)
+    v = ctx.v
     den = [v * v]
     if kind == "f":
-        num = [wij / w(src, i - 1, k) for k in range(lo + 1, i)]
-        den += [wij / w(src, i, k) for k in range(lo + 1, i + 1) if k != j]
+        num = [wij / w(ctx, i - 1, k) for k in range(lo + 1, i)]
+        den += [wij / w(ctx, i, k) for k in range(lo + 1, i + 1) if k != j]
     elif kind == "e":
-        num = [w(src, i + 1, k) / wij for k in range(lo + 1, i + 2)]
-        den += [w(src, i, k) / wij for k in range(lo + 1, i + 1) if k != j]
+        num = [w(ctx, i + 1, k) / wij for k in range(lo + 1, i + 2)]
+        den += [w(ctx, i, k) / wij for k in range(lo + 1, i + 1) if k != j]
     else:
         raise ActionError("kind must be e or f")
     return wij, num, den
@@ -87,12 +84,12 @@ def move_prefactor(ctx, kind, p, i) -> FactoredExpr:
         / ctx.t_res(i + 1)
 
 
-def move_coefficient(ctx, w, kind, src, i, j, lo) -> FactoredExpr:
+def move_coefficient(ctx, kind, src, i, j, lo) -> FactoredExpr:
     """r=0 coefficient of the f-move raising (e-move lowering) d_{ij},
     read off the source pattern: the prefactor, times w_{ij} for f."""
     if src.bump(i, j, 1 if kind == "f" else -1) is None:
         raise ActionError("invalid %s-move at (%d, %d)" % (kind, i, j))
-    wij, num, den = column_ratios(w, kind, src, i, j, lo)
+    wij, num, den = column_ratios(ctx, kind, src, i, j, lo)
     pref = move_prefactor(ctx, kind, src, i)
     return shaped(ctx, wij * pref if kind == "f" else pref, num, den)
 
@@ -110,27 +107,28 @@ def psi_prefactor(ctx, p, i, twist) -> FactoredExpr:
         p.row_sum(i + 1) - 2 * p.row_sum(i) + p.row_sum(i - 1) - 1)
 
 
-def psi_value(ctx, w, p, i, scale, lo, twist) -> FactoredExpr:
+def psi_value(ctx, p, i, scale, lo, twist) -> FactoredExpr:
     """Eigenvalue of the psi-series at node i at argument z*scale, rational
     in z."""
+    w = p.weight
     low = (ctx.z * scale) ** -1 * ctx.v ** i
     high = low * ctx.v ** 2
-    num = [high * w(p, i + 1, j) for j in range(lo + 1, i + 2)]
-    num += [low * w(p, i - 1, j) for j in range(lo + 1, i)]
+    num = [high * w(ctx, i + 1, j) for j in range(lo + 1, i + 2)]
+    num += [low * w(ctx, i - 1, j) for j in range(lo + 1, i)]
     den = []
     for j in range(lo + 1, i + 1):
-        wij = w(p, i, j)
+        wij = w(ctx, i, j)
         den += [high * wij, low * wij]
     return shaped(ctx, psi_prefactor(ctx, p, i, twist), num, den)
 
 
-def b_quotient(ctx, w, p, m, i, scale, lo) -> FactoredExpr:
+def b_quotient(ctx, p, m, i, scale, lo) -> FactoredExpr:
     """Eigenvalue of the quotient of the row-i by the row-m tautological
     series at argument z*scale."""
     zs = (ctx.z * scale) ** -1
     return shaped(ctx, ctx.one,
-                  [zs * w(p, i, j) for j in range(lo + 1, i + 1)],
-                  [zs * w(p, m, j) for j in range(lo + 1, m + 1)])
+                  [zs * p.weight(ctx, i, j) for j in range(lo + 1, i + 1)],
+                  [zs * p.weight(ctx, m, j) for j in range(lo + 1, m + 1)])
 
 
 class FiniteAction:
@@ -138,8 +136,8 @@ class FiniteAction:
 
     The operator methods from `f_base_coeff` to `psi_via_quotients` serve
     both modules: `ToroidalAction` binds these same functions.  They read
-    what differs by module only through `weight`, `low`, `nodes` and
-    `twist`.
+    what differs by module only through the pattern's `weight`, `low` and
+    `moves` and the action's `nodes` and `twist`.
     """
 
     affine = False
@@ -154,18 +152,6 @@ class FiniteAction:
         self._transitions_cache = {}
         self._psi_cache = {}
 
-    # -- what differs by module -------------------------------------------
-
-    def weight(self, p: FinitePattern, i: int, j: int) -> FactoredExpr:
-        return s_weight(self.ctx, p, i, j)
-
-    def low(self, p: FinitePattern, rows, bound: int) -> int:
-        """Column lower bound of a product over the given rows: 0, so the
-        products run over every column; the rows must lie in 0..n."""
-        if min(rows) < 0 or max(rows) > self.n:
-            raise ActionError("rows must lie in 0..n")
-        return 0
-
     def sources(self, max_degree: int) -> list:
         """All patterns of total degree at most max_degree, by total degree
         and then by degree vector."""
@@ -178,13 +164,13 @@ class FiniteAction:
 
     def f_base_coeff(self, src, i: int, j: int) -> FactoredExpr:
         """r=0 coefficient of the f-transition raising d_{ij}."""
-        return move_coefficient(self.ctx, self.weight, "f", src, i, j,
-                                self.low(src, (i - 1, i), j - 1))
+        return move_coefficient(self.ctx, "f", src, i, j,
+                                src.low((i - 1, i), j - 1))
 
     def e_base_coeff(self, src, i: int, j: int) -> FactoredExpr:
         """r=0 coefficient of the e-transition lowering d_{ij}."""
-        return move_coefficient(self.ctx, self.weight, "e", src, i, j,
-                                self.low(src, (i, i + 1), j - 1))
+        return move_coefficient(self.ctx, "e", src, i, j,
+                                src.low((i, i + 1), j - 1))
 
     def transitions(self, kind: str, node: int, src):
         """All single-box e/f moves of src at a node of the module, with base
@@ -203,8 +189,8 @@ class FiniteAction:
             raise ActionError("transitions are for kinds e/f")
         out = self._transitions_cache[key] = [
             Transition(j, tgt, base(src, node, j),
-                       move_beta(self.weight(src, node, j), kind, node))
-            for j, tgt in neighbors(src, node, direction)
+                       move_beta(src.weight(self.ctx, node, j), kind, node))
+            for j, tgt in src.moves(node, direction)
         ]
         return out
 
@@ -218,8 +204,8 @@ class FiniteAction:
         hit = self._psi_cache.get(key)
         if hit is None:
             hit = self._psi_cache[key] = psi_value(
-                self.ctx, self.weight, p, i, self.ctx.one,
-                self.low(p, (i - 1, i, i + 1), i - 1), self.twist)
+                self.ctx, p, i, self.ctx.one,
+                p.low((i - 1, i, i + 1), i - 1), self.twist)
         return hit
 
     def psi_mode(self, p, i: int, m: int, sign: str) -> FactoredExpr:
@@ -246,8 +232,7 @@ class FiniteAction:
         argument z*scale."""
         if m > i:
             raise ActionError("need m <= i")
-        return b_quotient(self.ctx, self.weight, p, m, i, scale,
-                          self.low(p, (m, i), m))
+        return b_quotient(self.ctx, p, m, i, scale, p.low((m, i), m))
 
     def psi_via_quotients(self, p, i: int, m: int) -> FactoredExpr:
         """psi eigenvalue at node i assembled from the four row-m quotient
@@ -287,21 +272,21 @@ class FiniteAction:
         )
         total = ctx.zero
         for j in range(1, i + 1):
-            sij = self.weight(p, i, j)
+            sij = p.weight(ctx, i, j)
             first = ctx.one
             second = ctx.one
             for k in range(1, i + 1):
                 if k == j:
                     continue
-                sik = self.weight(p, i, k)
+                sik = p.weight(ctx, i, k)
                 first = first / (1 - sij / sik) / (1 - v ** 2 * sik / sij)
                 second = second / (1 - sik / sij) / (1 - v ** 2 * sij / sik)
             for k in range(1, i):
-                sk = self.weight(p, i - 1, k)
+                sk = p.weight(ctx, i - 1, k)
                 first = first * (1 - sij / sk)
                 second = second * (1 - v ** 2 * sij / sk)
             for k in range(1, i + 2):
-                sk = self.weight(p, i + 1, k)
+                sk = p.weight(ctx, i + 1, k)
                 first = first * (1 - v ** 2 * sk / sij)
                 second = second * (1 - sk / sij)
             term = first * (sij * v ** i) ** a - v ** 2 * second * (

@@ -11,6 +11,10 @@ doubly-infinite periodic collection via d(i,j) = lambda^{(j mod n)}_{i-j}
 monotonicity, periodicity d(i+n,j+n) = d(i,j) and finite support.
 Residues (j mod n) are taken in {1..n}; partitions are 0-indexed with
 nonincreasing positive parts.
+
+Each pattern type carries what the operator kernel reads of its module: the
+torus weight `weight(ctx, i, j)`, the column lower bound `low(rows, bound)`
+of a product over the given rows and the single-box moves `moves(i, dir)`.
 """
 
 from __future__ import annotations
@@ -24,8 +28,21 @@ class PatternError(ValueError):
     pass
 
 
+class ActionError(ValueError):
+    pass
+
+
 def ceil_div(a: int, b: int) -> int:
     return -((-a) // b)
+
+
+def _moves(p, i: int, columns, direction: int) -> list:
+    """(column, new pattern) of each valid single-box move at row i of p
+    over the given columns, in their order."""
+    if direction not in (1, -1):
+        raise PatternError("direction must be +1 or -1")
+    moved = ((j, p.bump(i, j, direction)) for j in columns)
+    return [(j, q) for j, q in moved if q is not None]
 
 
 class FinitePattern:
@@ -87,6 +104,27 @@ class FinitePattern:
             return FinitePattern(self.n, rows)
         except PatternError:
             return None
+
+    def weight(self, ctx: LaurentContext, i: int, j: int) -> FactoredExpr:
+        """Torus weight s_{ij} = t_j^2 v^{-2 d_{ij}} (row n contributes
+        plain t_j^2)."""
+        if not (1 <= j <= i <= self.n):
+            raise PatternError("weight needs 1 <= j <= i <= n")
+        return ctx.t[j - 1] ** 2 * ctx.v ** (-2 * self.d(i, j))
+
+    def low(self, rows, bound: int) -> int:
+        """Column lower bound of a product over the given rows: 0, so the
+        products run over every column; the rows must lie in 0..n."""
+        if min(rows) < 0 or max(rows) > self.n:
+            raise ActionError("rows must lie in 0..n")
+        return 0
+
+    def moves(self, i: int, direction: int):
+        """Single-box moves at node i in 1..n-1: (column, new pattern) over
+        the columns 1..i."""
+        if not (1 <= i <= self.n - 1):
+            raise PatternError("node out of range")
+        return _moves(self, i, range(1, i + 1), direction)
 
     def sort_key(self):
         return tuple(x for r in self.rows for x in r)
@@ -203,19 +241,33 @@ class AffinePattern:
     def total(self) -> int:
         return sum(sum(lam) for lam in self.lambdas)
 
-    def support_min_col(self, rows) -> int:
-        """Smallest column carrying a nonzero entry among the given rows.
+    def weight(self, ctx: LaurentContext, i: int, j: int) -> FactoredExpr:
+        """Torus weight p_{ij} = t_{(j mod n)}^2 v^{-2 d_{ij}} u^{2 ceil(j/n)}."""
+        if j > i:
+            raise PatternError("weight needs j <= i")
+        return (
+            ctx.t_res(j) ** 2
+            * ctx.v ** (-2 * self.d(i, j))
+            * ctx.u ** (2 * ceil_div(j, self.n))
+        )
 
-        Returns max(rows)+1 when all involved rows vanish, so that the
-        half-open telescoping window (cutoff, bound] degenerates gracefully.
-        """
-        cols = [
-            i - m
-            for i in rows
-            for m in range(self.max_length())
-            if self.part(i - m, m) > 0
-        ]
-        return min(cols) if cols else max(rows) + 1
+    def low(self, rows, bound: int) -> int:
+        """Telescoped column lower bound of a product over the given rows:
+        the largest admissible one, below the rows' support (their smallest
+        column with a nonzero entry, max(rows)+1 when they all vanish) and
+        below the product bound (so no unpaired tail factor is dropped)."""
+        support = [i - m for i in rows for m in range(self.max_length())
+                   if self.part(i - m, m) > 0]
+        return min(min(support, default=max(rows) + 1) - 1, bound)
+
+    def moves(self, i: int, direction: int):
+        """Single-box moves at the node representative i in 1..n: (column,
+        new pattern) over the columns j <= i by decreasing j (the whole
+        periodic class moves at once through the partition encoding)."""
+        if not (1 <= i <= self.n):
+            raise PatternError("node representative out of range")
+        return _moves(self, i, range(i, i - self.max_length() - 1, -1),
+                      direction)
 
     def bump(self, i: int, j: int, delta: int):
         """Pattern with the periodic class of d_{ij} shifted by delta, or None."""
@@ -313,52 +365,3 @@ def enumerate_affine_total(n: int, total: int, *, deg=None) -> list:
                 results.append(p)
     results.sort(key=AffinePattern.sort_key)
     return results
-
-
-def s_weight(ctx: LaurentContext, p: FinitePattern, i: int, j: int) -> FactoredExpr:
-    """Torus weight t_j^2 v^{-2 d_{ij}} (row n contributes plain t_j^2)."""
-    if not (1 <= j <= i <= p.n):
-        raise PatternError("s_weight needs 1 <= j <= i <= n")
-    return ctx.t[j - 1] ** 2 * ctx.v ** (-2 * p.d(i, j))
-
-
-def p_weight(ctx: LaurentContext, p: AffinePattern, i: int, j: int) -> FactoredExpr:
-    """Torus weight t_{(j mod n)}^2 v^{-2 d_{ij}} u^{2 ceil(j/n)}."""
-    if j > i:
-        raise PatternError("p_weight needs j <= i")
-    return (
-        ctx.t_res(j) ** 2
-        * ctx.v ** (-2 * p.d(i, j))
-        * ctx.u ** (2 * ceil_div(j, p.n))
-    )
-
-
-def neighbors(p, i: int, direction: int):
-    """Single-box moves at node i: list of (column, new_pattern).
-
-    Finite case: i in 1..n-1, columns 1..i.  Affine case: i is the node
-    representative in 1..n and columns range over j <= i by decreasing j
-    (the whole periodic class moves at once through the partition
-    encoding).
-    """
-    if direction not in (1, -1):
-        raise PatternError("direction must be +1 or -1")
-    out = []
-    if isinstance(p, FinitePattern):
-        if not (1 <= i <= p.n - 1):
-            raise PatternError("node out of range")
-        for j in range(1, i + 1):
-            q = p.bump(i, j, direction)
-            if q is not None:
-                out.append((j, q))
-        return out
-    if isinstance(p, AffinePattern):
-        if not (1 <= i <= p.n):
-            raise PatternError("node representative out of range")
-        for m in range(p.max_length() + 1):
-            j = i - m
-            q = p.bump(i, j, direction)
-            if q is not None:
-                out.append((j, q))
-        return out
-    raise PatternError("unknown pattern type %r" % type(p))

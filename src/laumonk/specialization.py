@@ -17,7 +17,7 @@ from .exact import ExactError, FactoredExpr, LaurentContext
 from .finite_action import ActionError, column_ratios, move_beta, \
     move_prefactor, shaped
 from .patterns import AffinePattern, enumerate_affine, \
-    enumerate_affine_total, neighbors
+    enumerate_affine_total
 from .toroidal_action import ToroidalAction
 
 
@@ -209,8 +209,8 @@ class RenormalizedAction:
         if read is None:
             raise ActionError("invalid %s-move" % kind)
         shape, rows = ("e", (i, i + 1)) if kind == "f" else ("f", (i - 1, i))
-        lo = self.action.low(read, rows, j - 1)
-        pij, num, den = column_ratios(self.action.weight, shape, read, i, j, lo)
+        pij, num, den = column_ratios(self.ctx, shape, read, i, j,
+                                      read.low(rows, j - 1))
         pref = move_prefactor(self.ctx, kind, read, i)
         pref = pref * pij * self.ctx.v if kind == "f" else pref / self.ctx.v
         if r:
@@ -246,7 +246,7 @@ def _closure_block(w: LevelWeight, ren: RenormalizedAction, deg, patterns):
     for p in basis:
         for kind, direction in (("f", 1), ("e", -1)):
             for node in range(1, n + 1):
-                for j, tgt in neighbors(p, node, direction):
+                for j, tgt in p.moves(node, direction):
                     coeff = ren.coefficient(kind, p, node, j, 0)
                     member = in_D_mu(tgt, w)
                     if member:

@@ -2,14 +2,14 @@
 
 The operator methods are `FiniteAction`'s own functions, bound into this
 class (no base class: each traced method resolves in its own class).  They
-read the module through four members: the p-weights
-p_{ij} = t_{(j mod n)}^2 v^{-2 d_{ij}} u^{2 ceil(j/n)} as `weight`, the
-telescoped column lower bound `low`, the node representatives 1..n as
-`nodes`, and the u^2 `twist` of the psi prefactor.  The products over
-columns are formally infinite and are DEFINED by their telescoped finite
-values: below the support of the involved rows the weights are
-row-independent and factor pairs cancel exactly, so any lower bound at or
-below `low` gives the same value.
+read the module through the affine pattern, whose `weight` is the p-weight
+p_{ij} = t_{(j mod n)}^2 v^{-2 d_{ij}} u^{2 ceil(j/n)} and whose `low` is
+the telescoped column lower bound, and through two members of this class:
+the node representatives 1..n as `nodes` and the u^2 `twist` of the psi
+prefactor.  The products over columns are formally infinite and are
+DEFINED by their telescoped finite values: below the support of the
+involved rows the weights are row-independent and factor pairs cancel
+exactly, so any lower bound at or below `low` gives the same value.
 
 Node conventions: operators live at node representatives 1..n; the node-0
 family needed by the boundary relations is expressed through the shifted
@@ -24,8 +24,7 @@ from __future__ import annotations
 from .exact import FactoredExpr, LaurentContext, z_partial_fractions
 from .finite_action import ActionError, FiniteAction, move_beta, \
     move_prefactor, psi_prefactor, psi_value
-from .patterns import AffinePattern, ceil_div, enumerate_affine_total, \
-    p_weight
+from .patterns import AffinePattern, ceil_div, enumerate_affine_total
 
 
 class ToroidalAction:
@@ -46,17 +45,6 @@ class ToroidalAction:
         self.hat_scale = self.ctx.v ** n * self.ctx.u ** 2
         self._transitions_cache = {}
         self._psi_cache = {}
-
-    # -- what differs by module ---------------------------------------------
-
-    def weight(self, pat: AffinePattern, i: int, j: int) -> FactoredExpr:
-        return p_weight(self.ctx, pat, i, j)
-
-    def low(self, pat: AffinePattern, rows, bound: int) -> int:
-        """Telescoped column lower bound of a product over the given rows:
-        the largest admissible one, below the rows' support and below the
-        product bound (so no unpaired tail factor is dropped)."""
-        return min(pat.support_min_col(rows) - 1, bound)
 
     def sources(self, max_degree: int) -> list:
         """All patterns of total degree at most max_degree, by total degree."""
@@ -80,8 +68,8 @@ class ToroidalAction:
         if hit is None:
             n = self.n
             hit = self._psi_cache[key] = psi_value(
-                self.ctx, self.weight, p, n, self.hat_scale,
-                self.low(p, (n - 1, n, n + 1), n - 1), self.twist)
+                self.ctx, p, n, self.hat_scale,
+                p.low((n - 1, n, n + 1), n - 1), self.twist)
         return hit
 
     # -- hat shift and node translation ---------------------------------------
@@ -105,7 +93,8 @@ class ToroidalAction:
             base = self.e_base_coeff(src, node, j)
         else:
             raise ActionError("kind must be e or f")
-        return ext * base * move_beta(self.weight(src, node, j), kind, node) ** r
+        return ext * base * move_beta(src.weight(self.ctx, node, j), kind,
+                                      node) ** r
 
     # -- Chevalley generators ---------------------------------------------------
 

@@ -62,12 +62,25 @@ def test_verify_exit_codes(tmp_path):
                     "--out", str(out)]) == 0
     data = json.loads(out.read_text())
     assert all(r["status"] == "fail" for r in data["reports"])
+    # the payload states the scope the controls ran at
+    assert (data["max_degree"], data["window"]) == (2, 1)
     # the controls need the affine module, so n = 2 is rejected as by the
     # toroidal suite, not run at another rank
     for suite in ("controls", "toroidal"):
         assert run_cli(["verify", "--suite", suite, "-n", "2", "-D", "1",
                         "--out", str(out) + suite]) == 2
         assert not os.path.exists(str(out) + suite)
+    # the oracle compares symbolically: another strategy is rejected, and
+    # the seed the payload states is the seed its report ran with
+    assert run_cli(["verify", "--suite", "oracle", "-n", "3", "-D", "1",
+                    "--strategy", "random", "--seed", "5",
+                    "--out", str(out) + "oracle"]) == 2
+    assert not os.path.exists(str(out) + "oracle")
+    assert run_cli(["verify", "--suite", "oracle", "-n", "3", "-D", "1",
+                    "--seed", "5", "--out", str(out)]) == 0
+    data = json.loads(out.read_text())
+    assert data["seed"] == 5
+    assert [r["scope"]["seed"] for r in data["reports"]] == [5]
     # a scope that checks nothing is rejected, not passed
     for bad in (["--strategy", "random", "--trials", "0"], ["-D", "-1"],
                 ["-R", "-1"]):

@@ -133,7 +133,7 @@ def test_spectral_recursion(A3):
         for i in (1, 2):
             for kind, shift in (("f", 0), ("e", 2)):
                 for tr in A3.transitions(kind, i, p):
-                    ratio = A3.weight(p, i, tr.column) \
+                    ratio = p.weight(A3.ctx, i, tr.column) \
                         * A3.ctx.v ** (i + shift)
                     for b in (-1, 0, 2):
                         assert tr.coeff(b + 1) == tr.coeff(b) * ratio
@@ -182,3 +182,35 @@ def test_zero_mode_closed_forms(A3):
             for tr in A3.transitions("e", i, p):
                 assert tr.base == A3.feigin_e_coeff(p, i, tr.column)
 
+
+
+class _Forwarding:
+    """A pattern of neither pattern class: every attribute, its weight, low
+    and moves included, is read off the wrapped pattern."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+
+def test_kernel_reads_only_the_pattern_protocol():
+    # the operators read the module off the pattern's methods, not its class
+    for p in all_patterns(3, 2):
+        wrapped, plain = FiniteAction(3), FiniteAction(3)
+        proxy = _Forwarding(p)
+        assert not isinstance(proxy, FinitePattern)
+        for kind in ("e", "f"):
+            for node in (1, 2):
+                assert [(tr.column, tr.target, tr.base, tr.beta)
+                        for tr in wrapped.transitions(kind, node, proxy)] \
+                    == [(tr.column, tr.target, tr.base, tr.beta)
+                        for tr in plain.transitions(kind, node, p)]
+        for i in (1, 2):
+            assert wrapped.psi_eigenvalue(proxy, i) \
+                == plain.psi_eigenvalue(p, i)
+        v = plain.ctx.v
+        for m, i in ((0, 1), (0, 2), (1, 2), (1, 3)):
+            assert wrapped.b_quotient_eigenvalue(proxy, m, i, v ** -2) \
+                == plain.b_quotient_eigenvalue(p, m, i, v ** -2)

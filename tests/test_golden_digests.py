@@ -3,7 +3,9 @@ byte-identical reports.
 
 The first commands and sha256 digests are those listed under "Report
 digests" in perfbench/README.md, except the seven specialize reports, which
-lost their unused "window" field and were re-pinned; the random-strategy
+lost their unused "window" field and were re-pinned, and the three
+controls reports, whose payload now states the scope the controls ran at
+(window 1, max-degree at most 2), which were re-pinned; the random-strategy
 controls, toroidal and
 glzero runs, the random loop acceptance scope, the symbolic loop,
 toroidal and glzero acceptance scopes and three n = 4 scopes (loop,
@@ -38,14 +40,14 @@ VERIFY = {
         "5a3e610a4ef610658931e87cb91ddab8ae1de53d8febec8d77c8dc5b14408818"),
     "controls": (
         ["verify", "--suite", "controls", "-n", "3", "-D", "1"],
-        "c0c26a720f378a672c4eef21a3232db25bf93ec4f65f71de71d5cf9fe4057c69"),
+        "4cf23a55e2bee33ed3cd88e24fa364c9253f98696645e6225289ae38c95be723"),
     "oracle": (
         ["verify", "--suite", "oracle", "-n", "3", "-D", "2"],
         "b24232f34cb1de8af6cf16b7cb91af92cefc89d3349df59939c6c3afdf282b7f"),
     "controls-random": (
         ["verify", "--suite", "controls", "-n", "3", "-D", "1",
          "--strategy", "random", "--seed", "7", "--trials", "5"],
-        "daae98ff3c03622fd4d0e3295134cde0982fd4404008c7155baef82667354680"),
+        "dee0222b7188169a9a02e192c8b737012d8ea9048e832fd876f6af4200e5054f"),
     "toroidal-random": (
         ["verify", "--suite", "toroidal", "-n", "3", "-D", "1", "-R", "1",
          "--strategy", "random", "--seed", "7", "--trials", "5"],
@@ -77,7 +79,7 @@ VERIFY = {
         "412026a6d76452e23436abe0cf28a06bb2e3e4cb31d658ca0892d65633e432b8"),
     "controls-n4": (
         ["verify", "--suite", "controls", "-n", "4", "-D", "2"],
-        "02249b40e741c3de2c18717c2f744351e742a142d731ef530c6afe89990b464d"),
+        "bf6f4d2fb11a2a0016de2a01a475323010866b14cc7bc655528d478cdfd471e2"),
 }
 
 OTHER = {

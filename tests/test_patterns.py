@@ -13,9 +13,6 @@ from laumonk.patterns import (
     enumerate_affine,
     enumerate_affine_total,
     enumerate_finite,
-    neighbors,
-    p_weight,
-    s_weight,
 )
 
 
@@ -104,40 +101,40 @@ def test_affine_degree_convention():
 def test_weights():
     ctx3 = LaurentContext(3)
     z3 = FinitePattern.zero(3)
-    assert s_weight(ctx3, z3, 1, 1) == ctx3.t[0] ** 2
-    assert s_weight(ctx3, z3, 3, 2) == ctx3.t[1] ** 2  # boundary row n
+    assert z3.weight(ctx3, 1, 1) == ctx3.t[0] ** 2
+    assert z3.weight(ctx3, 3, 2) == ctx3.t[1] ** 2  # boundary row n
     b = z3.bump(1, 1, 1)
-    assert s_weight(ctx3, b, 1, 1) == ctx3.t[0] ** 2 * ctx3.v ** -2
+    assert b.weight(ctx3, 1, 1) == ctx3.t[0] ** 2 * ctx3.v ** -2
 
     ctx2 = LaurentContext(2)
     e2 = AffinePattern.empty(2)
-    assert p_weight(ctx2, e2, 5, 0) == ctx2.t[1] ** 2
-    assert p_weight(ctx2, e2, 5, 1) == ctx2.t[0] ** 2 * ctx2.u ** 2
-    assert p_weight(ctx2, e2, 7, -1) == ctx2.t[0] ** 2
-    assert p_weight(ctx2, e2, 7, 3) == ctx2.t[0] ** 2 * ctx2.u ** 4
+    assert e2.weight(ctx2, 5, 0) == ctx2.t[1] ** 2
+    assert e2.weight(ctx2, 5, 1) == ctx2.t[0] ** 2 * ctx2.u ** 2
+    assert e2.weight(ctx2, 7, -1) == ctx2.t[0] ** 2
+    assert e2.weight(ctx2, 7, 3) == ctx2.t[0] ** 2 * ctx2.u ** 4
 
 
-def test_neighbors_finite():
+def test_moves_finite():
     z3 = FinitePattern.zero(3)
-    up = neighbors(z3, 1, 1)
+    up = z3.moves(1, 1)
     assert len(up) == 1 and up[0][0] == 1 and up[0][1].rows == ((1,), (0, 0))
-    assert neighbors(z3, 1, -1) == []
+    assert z3.moves(1, -1) == []
     # independent oracle: enumerate bumps and filter by the invariants
     for pat in enumerate_finite(3, (1, 1)):
         expected = sorted(j for j in (1, 2)
                           if pat.bump(2, j, 1) is not None)
-        assert sorted(j for j, _ in neighbors(pat, 2, 1)) == expected
+        assert sorted(j for j, _ in pat.moves(2, 1)) == expected
     two = FinitePattern(3, [[1], [0, 1]])
-    assert sorted(j for j, _ in neighbors(two, 2, 1)) == [1, 2]
+    assert sorted(j for j, _ in two.moves(2, 1)) == [1, 2]
     one = FinitePattern(3, [[1], [1, 0]])
-    assert sorted(j for j, _ in neighbors(one, 2, 1)) == [2]
+    assert sorted(j for j, _ in one.moves(2, 1)) == [2]
 
 
-def test_neighbors_one_unit_difference():
+def test_moves_one_unit_difference():
     for pat in enumerate_finite(3, (2, 1)) + enumerate_finite(3, (1, 2)):
         for node in (1, 2):
             for direction in (1, -1):
-                for j, q in neighbors(pat, node, direction):
+                for j, q in pat.moves(node, direction):
                     diffs = [
                         (i, k, q.rows[i - 1][k - 1] - pat.rows[i - 1][k - 1])
                         for i in range(1, 3)
@@ -148,7 +145,7 @@ def test_neighbors_one_unit_difference():
     for pat in enumerate_affine_total(3, 2):
         for node in (1, 2, 3):
             for direction in (1, -1):
-                moves = neighbors(pat, node, direction)
+                moves = pat.moves(node, direction)
                 for j, q in moves:
                     assert q.total() - pat.total() == direction
                     assert q.d(node, j) - pat.d(node, j) == direction
@@ -159,7 +156,7 @@ def test_neighbors_one_unit_difference():
 
 def test_affine_neighbors_move_whole_class():
     p = AffinePattern(3, [(1,), (), ()])
-    for j, q in neighbors(p, 2, 1):
+    for j, q in p.moves(2, 1):
         # the periodic translates move together
         assert q.d(2, j) == p.d(2, j) + 1
         assert q.d(5, j + 3) == p.d(5, j + 3) + 1
@@ -179,7 +176,7 @@ def test_rank_bounds():
         AffinePattern(1, [()])
 
 
-# -- neighbors against enumeration (hypothesis) --------------------------------
+# -- moves against enumeration (hypothesis) ------------------------------------
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True,
                     database=None,
@@ -214,7 +211,7 @@ def _contains_one_box_less(big: AffinePattern, small: AffinePattern) -> bool:
 
 @SETTINGS
 @given(finite_cases())
-def test_neighbors_finite_match_enumeration(case):
+def test_moves_finite_match_enumeration(case):
     pat, i = case
     deg = list(pat.degree())
     deg[i - 1] += 1
@@ -224,18 +221,18 @@ def test_neighbors_finite_match_enumeration(case):
                  if q.d(a, b) != pat.d(a, b)]
         if len(diffs) == 1 and q.d(*diffs[0]) == pat.d(*diffs[0]) + 1:
             found.add((diffs[0][1], q))
-    assert set(neighbors(pat, i, 1)) == found
+    assert set(pat.moves(i, 1)) == found
 
 
 @SETTINGS
 @given(affine_cases())
-def test_neighbors_affine_match_enumeration(case):
+def test_moves_affine_match_enumeration(case):
     pat, i = case
     deg = list(pat.degree())
     deg[i % pat.n] += 1
     found = {q for q in enumerate_affine(pat.n, deg)
              if _contains_one_box_less(q, pat)}
-    moves = neighbors(pat, i, 1)
+    moves = pat.moves(i, 1)
     assert {q for _, q in moves} == found
     assert all(pat.bump(i, j, 1) == q for j, q in moves)
 

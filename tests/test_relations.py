@@ -5,7 +5,7 @@ import pytest
 
 from laumonk import relations
 from laumonk.finite_action import ActionError, FiniteAction
-from laumonk.patterns import FinitePattern, enumerate_finite, neighbors
+from laumonk.patterns import FinitePattern, enumerate_finite
 from laumonk.relations import (
     RelationId,
     _Resample,
@@ -53,8 +53,8 @@ def test_xx_same_entry_count_matches_prediction(fm2):
     for total in range(4):
         for p in enumerate_finite(2, (total,)):
             targets = set()
-            for _, q in neighbors(p, 1, 1):
-                for _, r in neighbors(q, 1, 1):
+            for _, q in p.moves(1, 1):
+                for _, r in q.moves(1, 1):
                     targets.add(r)
             if targets:
                 predicted += 25 * len(targets)
@@ -107,7 +107,7 @@ def test_psi_x_ratio_closed_forms(fm2, fm3):
     v, z = ctx.v, ctx.z
     zero = FinitePattern.zero(2)
     (tr,) = fm2.transitions("f", 1, zero)
-    s = fm2.weight(zero, 1, 1)
+    s = zero.weight(ctx, 1, 1)
     lhs = fm2.psi_eigenvalue(tr.target, 1) / fm2.psi_eigenvalue(zero, 1)
     rhs = v ** -2 * (1 - z ** -1 * v ** 3 * s) / (1 - z ** -1 * v ** -1 * s)
     assert lhs == rhs
@@ -117,7 +117,7 @@ def test_psi_x_ratio_closed_forms(fm2, fm3):
     v3, z3 = ctx3.v, ctx3.z
     zero3 = FinitePattern.zero(3)
     for tr in fm3.transitions("f", 2, zero3):
-        s = fm3.weight(zero3, 2, tr.column)
+        s = zero3.weight(ctx3, 2, tr.column)
         lhs = fm3.psi_eigenvalue(tr.target, 1) \
             / fm3.psi_eigenvalue(zero3, 1)
         rhs = v3 * (1 - z3 ** -1 * v3 ** 1 * s) \

@@ -175,8 +175,6 @@ def test_specialize_examples():
 def test_renormalized_spectral_factors():
     # in the renormalized basis the e-spectral factor is (p v^i)^r and the
     # f-spectral factor (p v^{i+2})^r
-    from laumonk.patterns import p_weight
-
     w = LevelWeight(3, 1, (0, 0, 0))
     ren = RenormalizedAction(w)
     T = ren.action
@@ -186,12 +184,12 @@ def test_renormalized_spectral_factors():
         for node in (1, 2, 3):
             for tr in T.transitions("f", node, p):
                 big = tr.target
-                ratio = p_weight(ctx, big, node, tr.column) * \
+                ratio = big.weight(ctx, node, tr.column) * \
                     ctx.v ** (node + 2)
                 assert ren.symbolic_coefficient("f", p, node, tr.column, 1) \
                     == ren.symbolic_coefficient("f", p, node, tr.column, 0) \
                     * ratio
-                small_ratio = p_weight(ctx, p, node, tr.column) * \
+                small_ratio = p.weight(ctx, node, tr.column) * \
                     ctx.v ** node
                 assert ren.symbolic_coefficient("e", big, node, tr.column, 1) \
                     == ren.symbolic_coefficient("e", big, node, tr.column, 0) \

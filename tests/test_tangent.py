@@ -95,7 +95,6 @@ def test_renormalized_e_vs_plain_f_monomial(O, T, pats):
     # f-coefficient of the reversed move is the monomial
     # -t_i t_{i+1}^{-1} v^{d_{i+1}-2d_i+d_{i-1}+1-2i} p_{ij}^{-1},
     # everything read at the smaller pattern
-    from laumonk.patterns import p_weight
     from laumonk.specialization import LevelWeight, RenormalizedAction
 
     ctx = O.ctx
@@ -111,7 +110,7 @@ def test_renormalized_e_vs_plain_f_monomial(O, T, pats):
                             * ctx.v ** (p.row_sum(node + 1)
                                         - 2 * p.row_sum(node)
                                         + p.row_sum(node - 1) + 1 - 2 * node)
-                            / p_weight(ctx, p, node, tr.column))
+                            / p.weight(ctx, node, tr.column))
                     assert ren_e == tr.coeff(r) * mono
 
 

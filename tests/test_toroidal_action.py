@@ -34,26 +34,25 @@ def test_below_support_cancellation(T, pats):
     for p in pats:
         for i in (1, 2, 3):
             for tr in T.transitions("f", i, p):
-                c0 = min(p.support_min_col((i - 1, i)) - 1, i - 1,
-                         tr.column - 1)
+                c0 = min(p.low((i - 1, i), i - 1), tr.column - 1)
                 for extra in (1, 4, 9):
-                    assert move_coefficient(T.ctx, T.weight, "f", p, i,
-                                            tr.column, c0 - extra) == tr.base
+                    assert move_coefficient(T.ctx, "f", p, i, tr.column,
+                                            c0 - extra) == tr.base
             for tr in T.transitions("e", i, p):
-                c0 = min(p.support_min_col((i, i + 1)) - 1, tr.column - 1)
+                c0 = p.low((i, i + 1), tr.column - 1)
                 for extra in (1, 4, 9):
-                    assert move_coefficient(T.ctx, T.weight, "e", p, i,
-                                            tr.column, c0 - extra) == tr.base
+                    assert move_coefficient(T.ctx, "e", p, i, tr.column,
+                                            c0 - extra) == tr.base
 
 
 def test_psi_cutoff_independence(T, pats):
     for p in pats:
         for i in (1, 2, 3):
             base = T.psi_eigenvalue(p, i)
-            c0 = min(p.support_min_col((i - 1, i, i + 1)) - 1, i - 1)
+            c0 = p.low((i - 1, i, i + 1), i - 1)
             for extra in (1, 3, 8):
-                assert psi_value(T.ctx, T.weight, p, i, T.ctx.one,
-                                 c0 - extra, T.twist) == base
+                assert psi_value(T.ctx, p, i, T.ctx.one, c0 - extra,
+                                 T.twist) == base
 
 
 def test_psi_empty_pattern_closed_form(T):
